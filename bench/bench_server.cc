@@ -74,8 +74,15 @@ RunResult RunSessions(int sessions, bool paced, bool tracing = false) {
   {
     std::vector<Column> cols;
     cols.push_back(dbtouch::storage::GenSequenceInt64("v", g_rows, 0, 1));
-    if (!server.RegisterTable(*Table::FromColumns("t", std::move(cols)))
-             .ok()) {
+    const auto table = *Table::FromColumns("t", std::move(cols));
+    // Resident tables read in place; binding the column to a table
+    // provider keeps every scan touch pinning a block of the shared pool,
+    // so buffer_hit_rate measures the pool under this load.
+    const auto provider =
+        std::make_shared<dbtouch::cache::TableBlockProvider>(
+            table, 0, config.session_defaults.buffer.rows_per_block);
+    if (!server.RegisterTable(table).ok() ||
+        !server.shared().SetColumnProvider("t", 0, provider).ok()) {
       return {};
     }
   }

@@ -109,9 +109,10 @@ class BlockProvider {
   }
 };
 
-/// Fast tier: blocks copied out of an in-memory table column. Reads the
-/// column view at fetch time, so a layout rotation between faults changes
-/// the copy path, never the values.
+/// Fast tier: blocks copied out of an in-memory table column, bound only
+/// explicitly (serving reads resident tables in place). Reads the column
+/// view at fetch time, so a layout rotation between faults changes the
+/// copy path, never the values.
 class TableBlockProvider final : public BlockProvider {
  public:
   TableBlockProvider(std::shared_ptr<const storage::Table> table,

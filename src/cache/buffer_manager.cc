@@ -1,6 +1,7 @@
 #include "cache/buffer_manager.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "common/macros.h"
@@ -366,7 +367,7 @@ void BufferManager::WaitForFetches() {
 
 BufferManager::Binding BufferManager::BindOwner(
     const std::string& name, std::size_t column, const void* identity,
-    const std::function<std::shared_ptr<BlockProvider>()>& make_provider) {
+    std::shared_ptr<BlockProvider> provider) {
   const std::lock_guard<std::mutex> lock(mu_);
   Binding& binding = bindings_[{name, column}];
   if (binding.identity != identity) {
@@ -378,7 +379,7 @@ BufferManager::Binding BufferManager::BindOwner(
     }
     binding.identity = identity;
     binding.owner = next_owner_++;
-    binding.provider = make_provider();
+    binding.provider = std::move(provider);
   }
   if (config_.async_fetch && binding.provider->async()) {
     // First slow tier bound: spin up the fetchers. In-memory-only
@@ -399,10 +400,10 @@ BufferManager::ColumnSource(const std::shared_ptr<storage::Table>& table,
                               " out of range for table '" + table->name() +
                               "'");
   }
-  const Binding binding = BindOwner(table->name(), column, table.get(), [&] {
-    return std::make_shared<TableBlockProvider>(table, column,
-                                                config_.rows_per_block);
-  });
+  const Binding binding = BindOwner(
+      table->name(), column, table.get(),
+      std::make_shared<TableBlockProvider>(table, column,
+                                           config_.rows_per_block));
   // Explicit upcast: Result<T> will not chain the derived-to-base
   // shared_ptr conversion with its own converting constructor.
   return std::shared_ptr<storage::PagedColumnSource>(
@@ -413,8 +414,7 @@ std::shared_ptr<storage::PagedColumnSource> BufferManager::SourceFor(
     const std::string& name, std::size_t column,
     std::shared_ptr<BlockProvider> provider) {
   DBTOUCH_CHECK(provider != nullptr);
-  const Binding binding = BindOwner(name, column, provider.get(),
-                                    [&] { return provider; });
+  const Binding binding = BindOwner(name, column, provider.get(), provider);
   return std::make_shared<Source>(this, binding.owner, binding.provider);
 }
 
@@ -433,8 +433,8 @@ BufferManager::PaxSourceFor(const std::string& name, std::size_t column,
   // namespace — a fault for any column is a hit for the rest.
   constexpr std::size_t kPaxBindingColumn =
       std::numeric_limits<std::size_t>::max();
-  const Binding binding = BindOwner(name, kPaxBindingColumn, provider.get(),
-                                    [&] { return provider; });
+  const Binding binding =
+      BindOwner(name, kPaxBindingColumn, provider.get(), provider);
   return std::shared_ptr<storage::PagedColumnSource>(
       std::make_shared<PaxSource>(this, binding.owner, binding.provider,
                                   column));

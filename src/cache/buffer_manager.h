@@ -1,9 +1,11 @@
-// BufferManager: the server-wide buffer pool the touch read path runs
-// through. Column data lives in fixed-size blocks owned by a payload-
+// BufferManager: the server-wide buffer pool for base data that does not
+// live in RAM. Column data lives in fixed-size blocks owned by a payload-
 // holding BlockCache (pin/unpin, byte budget, gesture-aware scan-bypass
 // admission), keyed by (table, column, block) and faulted in from a
-// pluggable BlockProvider — the in-memory base table by default, a
-// remote::RemoteStore adapter for cold tiers.
+// pluggable BlockProvider — spill files (FileBlockProvider) or a remote
+// tier (RemoteBlockProvider). Resident tables do not go through the pool:
+// core::SharedState hands out their zero-copy Table::PagedColumnAt
+// sources, so the pool never holds a second copy of in-memory data.
 //
 // One BufferManager serves every session of a SharedState, so concurrent
 // sessions share one bounded memory footprint; per-object access goes
@@ -21,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,14 +67,13 @@ class BufferManager {
   BufferManager(const BufferManager&) = delete;
   BufferManager& operator=(const BufferManager&) = delete;
 
-  /// A paged source reading `table.column` through this pool, faulting
-  /// from an (auto-created) TableBlockProvider. Binding is by table name +
-  /// column and pinned to the table's identity: re-registering the name
-  /// with new contents rebinds under a fresh block namespace, so stale
-  /// cached blocks can never serve the new data. The provider (and its
-  /// row-count snapshot) is shared by every source of the binding —
-  /// registered tables are treated as frozen for exploration, like the
-  /// sample hierarchies do.
+  /// A paged source copying `table.column` into this pool through an
+  /// auto-created TableBlockProvider, for a private pool over a resident
+  /// table (serving reads resident tables in place). Binding is by table
+  /// name + column and pinned to the table's identity: re-registering the
+  /// name with new contents rebinds under a fresh block namespace, so
+  /// stale cached blocks can never serve the new data. The provider (and
+  /// its row-count snapshot) is shared by every source of the binding.
   Result<std::shared_ptr<storage::PagedColumnSource>> ColumnSource(
       const std::shared_ptr<storage::Table>& table, std::size_t column);
 
@@ -168,11 +168,11 @@ class BufferManager {
   };
 
   /// The binding for (name, column): reused while `identity` (provider or
-  /// table) is unchanged; rebound with a fresh owner id — and a provider
-  /// from `make_provider` — when it changed.
-  Binding BindOwner(
-      const std::string& name, std::size_t column, const void* identity,
-      const std::function<std::shared_ptr<BlockProvider>()>& make_provider);
+  /// table) is unchanged; rebound with a fresh owner id — and `provider`
+  /// — when it changed.
+  Binding BindOwner(const std::string& name, std::size_t column,
+                    const void* identity,
+                    std::shared_ptr<BlockProvider> provider);
 
   /// The fetch queue, created on the first binding of an async()
   /// provider — a manager serving only in-memory tables (every private

@@ -69,12 +69,13 @@ struct Kernel::ObjectState {
   /// filtered scan asks for index support; immutable and lock-free after.
   /// The aliasing shared_ptr pins the owning index set.
   std::shared_ptr<const index::ZoneMap> base_zone_map;
-  /// Paged source over the bound column through the SharedState's shared
-  /// BufferManager (column objects, use_buffer_manager on). Null = legacy
-  /// raw whole-column reads.
+  /// The bound column's source (column objects; null for table objects):
+  /// SharedState::GetColumnSource — zero-copy slices of a resident table,
+  /// pool blocks of a spilled or remote column.
   std::shared_ptr<storage::PagedColumnSource> paged;
   /// Working cursor for per-touch point reads; holds the block under the
-  /// finger pinned, so a slide inside one block re-pins nothing.
+  /// finger pinned, so a slide inside one block re-pins nothing. Gesture
+  /// end and taps drop it: a live zero-copy pin makes a reclaim fail.
   storage::PagedColumnCursor cursor;
   ObjectStats stats;
   /// Rotation gesture latch: fire once per gesture.
@@ -83,38 +84,27 @@ struct Kernel::ObjectState {
   /// sources (Section 2.6 "Prefetching Data").
   prefetch::GestureExtrapolator extrapolator;
 
-  /// The paged source execution reads the bound column through: the
-  /// buffer-pool source for paged column objects; otherwise the table's
-  /// own source — the release-gated zero-copy form on a resident table,
-  /// the rebind source once its matrix was reclaimed. Never a bare raw
-  /// view: every operator the kernel builds survives (or cleanly
-  /// refuses) a later spill reclamation.
+  /// The paged source execution reads the bound column through: `paged`
+  /// for column objects, attribute 0 of the table's own source for table
+  /// objects. Never a bare raw view: every operator the kernel builds
+  /// survives (or cleanly refuses) a later spill reclamation.
   std::shared_ptr<storage::PagedColumnSource> BoundSource() const {
-    if (paged != nullptr) {
-      return paged;
-    }
-    return table->PagedColumnAt(column.value_or(0));
+    return column.has_value() ? paged : table->PagedColumnAt(0);
   }
 
   /// Paged source for an arbitrary attribute of the backing table (the
   /// fat-table read paths: taps, scans, group-bys).
   std::shared_ptr<storage::PagedColumnSource> AttributeSource(
       std::size_t attribute) const {
-    if (column.has_value() && *column == attribute && paged != nullptr) {
-      return paged;
-    }
-    return table->PagedColumnAt(attribute);
+    return column == attribute ? paged : table->PagedColumnAt(attribute);
   }
 
-  /// Point read of the bound column: pinned through the buffer pool when
-  /// paged; otherwise through Table::GetValue, whose release gate makes
-  /// the read safe against a concurrent spill reclamation (and which is
-  /// rotation-safe, reading the current matrix each call).
+  /// Point read of the bound column: through the cursor for column
+  /// objects; for table objects through Table::GetValue, whose release
+  /// gate makes the read safe against a concurrent spill reclamation.
   storage::Value ReadBoundValue(storage::RowId row) {
-    if (cursor.valid()) {
-      return cursor.GetValue(row);
-    }
-    return table->GetValue(row, column.value_or(0));
+    return column.has_value() ? cursor.GetValue(row)
+                              : table->GetValue(row, 0);
   }
 };
 
@@ -159,11 +149,9 @@ Result<ObjectId> Kernel::CreateColumnObject(const std::string& table,
 
   DBTOUCH_ASSIGN_OR_RETURN(state->hierarchy,
                            shared_->GetOrBuildHierarchy(table, col));
-  if (config_.use_buffer_manager) {
-    DBTOUCH_ASSIGN_OR_RETURN(state->paged,
-                             shared_->GetColumnSource(table, col));
-    state->cursor = storage::PagedColumnCursor(state->paged);
-  }
+  DBTOUCH_ASSIGN_OR_RETURN(state->paged,
+                           shared_->GetColumnSource(table, col));
+  state->cursor = storage::PagedColumnCursor(state->paged);
 
   const ObjectId id = state->id;
   objects_.emplace(id, std::move(state));
@@ -503,7 +491,7 @@ RefineOutcome Kernel::RefineNext(TouchStall* stall) {
         last = std::min<RowId>(base_row + k, obj->table->row_count() - 1);
       }
     }
-    if (first >= 0 && obj->paged != nullptr && obj->paged->may_block()) {
+    if (first >= 0 && obj->paged->may_block()) {
       if (stall != nullptr) {
         stall->entries.clear();
       }
@@ -612,7 +600,7 @@ Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
     }
     return ProbeTableGesture(*obj, event, non_blocking, stall);
   }
-  if (obj->paged == nullptr || !obj->paged->may_block()) {
+  if (!obj->paged->may_block()) {
     return true;  // No slow-tier reads possible.
   }
 
@@ -819,8 +807,7 @@ void Kernel::MaybePrefetch(ObjectState* obj, RowId row,
                            const GestureEvent& event) {
   const std::shared_ptr<storage::PagedColumnSource> source =
       obj->BoundSource();
-  if (!config_.prefetch_enabled || source == nullptr ||
-      !source->may_block()) {
+  if (!config_.prefetch_enabled || !source->may_block()) {
     return;
   }
   obj->extrapolator.Observe(event.timestamp_us, row);
@@ -926,7 +913,7 @@ void Kernel::OnGesture(const GestureEvent& event) {
     // this object's column so other sessions' scans are untouched. The
     // working pins drop too: an idle session must not hold buffer-pool
     // blocks pinned (retained blocks stay cached, so the next touch on
-    // the region is still a hit).
+    // the region is still a hit), nor zero-copy pins that block a reclaim.
     obj->BoundSource()->OnGesturePause();
     obj->cursor.ReleasePin();
     if (obj->agg_op != nullptr) {
@@ -1009,6 +996,8 @@ void Kernel::HandleTap(const GestureEvent& event, ObjectState* obj) {
   item.screen_position = ResultPosition(*obj, event.position);
   item.row = mapping.row;
   item.value = obj->ReadBoundValue(mapping.row);
+  // A tap is a whole gesture; it must not leave the block pinned.
+  obj->cursor.ReleasePin();
   results_.Append(std::move(item));
   ++stats_.entries_returned;
   ++stats_.rows_scanned;
@@ -1145,9 +1134,9 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
         // Base-data band of equivalent width, truncated to the per-touch
         // budget so one touch can never stall unboundedly.
         const std::int64_t k_base = SummaryBandK(*obj);
-        // The band scans block-at-a-time whatever the tier: pool blocks
-        // for paged objects, gated zero-copy slices on resident tables,
-        // rebind-source pins once the matrix was reclaimed.
+        // The band scans block-at-a-time whatever the tier: gated
+        // zero-copy slices on resident tables, pool blocks for spilled,
+        // reclaimed or remote columns.
         exec::InteractiveSummaryOp op(obj->BoundSource(), k_base,
                                       obj->action.agg);
         sr = op.ComputeAt(base_row);

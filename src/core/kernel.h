@@ -83,15 +83,11 @@ struct KernelConfig {
   double rotation_trigger_rad = 0.8;
   /// Idle gap that splits query sessions.
   sim::Micros session_idle_gap_us = 3'000'000;
-  /// Buffer pool for paged base-data reads. Applies to this kernel's
-  /// private SharedState; when a SharedState is passed in (the touch
-  /// server), that state's pool — and its budget — win.
+  /// Buffer pool for base data not in RAM (spilled or remote columns);
+  /// its rows_per_block also sizes the blocks of in-place reads. Applies
+  /// to this kernel's private SharedState; when a SharedState is passed
+  /// in (the touch server), that state's pool — and its budget — win.
   cache::BufferManagerConfig buffer;
-  /// Route column-object reads through the SharedState's BufferManager:
-  /// block-at-a-time pinned reads under the pool's byte budget, with
-  /// gesture-aware admission. Off = the paper's raw whole-column
-  /// pointers (unbounded residency).
-  bool use_buffer_manager = true;
   /// Suspend instead of stall: when a touch needs blocks a slow tier has
   /// not delivered yet, OnTouchAsync returns kSuspended (with the blocks
   /// to fetch) rather than blocking inside the fault. Off = cold faults

@@ -93,7 +93,16 @@ SharedState::GetColumnSource(const std::string& table, std::size_t column) {
       providers_.erase(it);
     }
   }
-  return buffer_.ColumnSource(t, column);
+  if (column >= t->schema().num_fields()) {
+    return Status::OutOfRange("column " + std::to_string(column) +
+                              " out of range for table '" + table + "'");
+  }
+  // Resident data reads in place: release-gated zero-copy slices (or the
+  // pool-backed rebind source once a spill reclaimed the matrix). The
+  // slices borrow the table, so the handle's deleter pins it.
+  auto source = t->PagedColumnAt(column, buffer_.config().rows_per_block);
+  return std::shared_ptr<storage::PagedColumnSource>(
+      source.get(), [source, t](storage::PagedColumnSource*) {});
 }
 
 Status SharedState::SetColumnProvider(

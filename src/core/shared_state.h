@@ -14,11 +14,11 @@
 // hierarchies are always built eagerly here — lazy materialisation is a
 // single-user optimisation that would race under sharing.
 //
-// The SharedState also owns the server-wide cache::BufferManager: base
-// column data read by any session flows through one bounded block cache
-// keyed by (table, column, block), so the whole server's resident
-// footprint honours one byte budget. The BufferManager is internally
-// synchronised (sharded); sessions pin blocks concurrently.
+// The SharedState also owns the server-wide cache::BufferManager, which
+// holds only blocks that do not live in RAM (spilled or remote columns,
+// under one byte budget); resident tables read in place. The
+// BufferManager is internally synchronised (sharded); sessions pin
+// blocks concurrently.
 
 #ifndef DBTOUCH_CORE_SHARED_STATE_H_
 #define DBTOUCH_CORE_SHARED_STATE_H_
@@ -85,8 +85,9 @@ class SharedState {
   cache::BufferManager& buffer_manager() { return buffer_; }
   const cache::BufferManager& buffer_manager() const { return buffer_; }
 
-  /// A paged source reading `table.column` through the shared buffer pool
-  /// (one bounded footprint across sessions). One source per data object.
+  /// The source one data object reads `table.column` through: the shared
+  /// pool for a column bound to a provider (SetColumnProvider, SpillTable,
+  /// SpillTablePax), else the table's release-gated zero-copy source.
   Result<std::shared_ptr<storage::PagedColumnSource>> GetColumnSource(
       const std::string& table, std::size_t column);
 
@@ -120,12 +121,12 @@ class SharedState {
   /// later via GetOrBuildHierarchy's paged build, zone maps via the
   /// paged index builds. Racing readers are safe, not transparent:
   /// transient raw reads drain behind the table's release gate, a live
-  /// zero-copy pin (an operator mid-gesture) makes the reclaim itself
-  /// fail cleanly — the spill files stay written and bound, so retry
-  /// once gestures pause — and pool sources handed out BEFORE the
-  /// reclaim keep their in-memory binding and fail cleanly (shedding
-  /// one gesture) if they fault after the matrix is gone. Reclaim
-  /// before opening the table to sessions for zero disruption.
+  /// zero-copy pin (an operator or column cursor mid-gesture) makes the
+  /// reclaim itself fail cleanly — the spill files stay written and
+  /// bound, so retry once gestures pause — and zero-copy sources handed
+  /// out BEFORE the reclaim return FailedPrecondition for pins after the
+  /// release. Reclaim before opening the table to sessions for zero
+  /// disruption.
   Status SpillTable(const std::string& table, storage::TableSpiller& spiller,
                     bool reclaim_raw = false);
 
@@ -176,7 +177,7 @@ class SharedState {
   /// Explicit cold-tier provider (SetColumnProvider), pinned to the
   /// identity of the table it was validated against: a name re-registered
   /// with new data silently retires the override (the new table's
-  /// in-memory blocks serve) instead of faulting stale remote data.
+  /// in-memory data serves) instead of faulting stale remote data.
   struct ProviderEntry {
     /// Identity pin (like HierarchyEntry's): holding the shared_ptr rules
     /// out a recycled allocation masquerading as the validated table.
@@ -186,7 +187,7 @@ class SharedState {
 
   mutable std::mutex mu_;
   std::map<ColumnKey, HierarchyEntry> hierarchies_;
-  /// Consulted by GetColumnSource before defaulting to table blocks.
+  /// Consulted by GetColumnSource before defaulting to in-place reads.
   std::map<ColumnKey, ProviderEntry> providers_;
   /// Index sets piggy-back on the hierarchies, keyed by hierarchy
   /// identity; only their level-0 zone maps are exposed (built under mu_,

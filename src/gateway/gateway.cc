@@ -151,7 +151,7 @@ GatewayStatsSnapshot Gateway::stats() const {
       connections_accepted_.load(std::memory_order_relaxed);
   s.connections_active = connections_active_.load(std::memory_order_relaxed);
   s.connections_rejected =
-      connections_rejected_.load(std::memory_order_relaxed);
+      connections_rejected_.load(std::memory_order_acquire);
   s.frames_received = frames_received_.load(std::memory_order_relaxed);
   s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
   s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
@@ -219,16 +219,16 @@ void Gateway::AcceptReady() {
     if (static_cast<std::size_t>(
             connections_active_.load(std::memory_order_relaxed)) >=
         config_.max_connections) {
-      // Over capacity: best-effort backpressure notice, then close. The
-      // frame may not fit the socket buffer of a just-accepted socket
-      // only in pathological cases; a lost notice still ends in a close
-      // the client can observe.
+      // Over capacity: count first (release, paired with stats()'
+      // acquire), so a client that sees the notice or the close also
+      // sees the count; then a best-effort backpressure notice and the
+      // close. A notice lost to a full socket buffer still ends in a close.
+      connections_rejected_.fetch_add(1, std::memory_order_release);
       std::string frame =
           EncodeErrorFrame(MessageType::kError, 0, api::WireCode::kBackpressure,
                            "gateway: connection limit reached");
       (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     int one = 1;

@@ -302,22 +302,29 @@ TEST(IntegrationTest, MultiObjectSessionKeepsStatsSeparate) {
 
 TEST(IntegrationTest, PagedSlideMatchesUnpagedBeyondBudget) {
   // A column larger than the buffer budget, explored with base-data
-  // summaries (sampling off) plus a back-and-forth slide: the paged path
-  // must return byte-identical results to raw whole-column reads while
-  // resident bytes never exceed the budget.
+  // summaries (sampling off) plus a back-and-forth slide: the pool-bound
+  // path must return byte-identical results to in-place reads of the
+  // resident table while resident bytes never exceed the budget.
   const std::int64_t rows = 262'144;  // 2 MiB of doubles.
   const auto make_kernel = [&](bool paged) {
     KernelConfig config;
     config.use_sampling = false;  // Every summary reads base data.
-    config.use_buffer_manager = paged;
     config.buffer.budget_bytes = 128 << 10;  // 6% of the column.
     config.buffer.rows_per_block = 4'096;
     auto kernel = std::make_unique<Kernel>(config);
     std::vector<Column> cols;
     cols.push_back(storage::GenSegmentedDouble(
         "v", rows, {5.0, -3.0, 12.0, 0.5}, 1.0, 42));
-    DBTOUCH_CHECK_OK(
-        kernel->RegisterTable(*Table::FromColumns("big", std::move(cols))));
+    auto table = *Table::FromColumns("big", std::move(cols));
+    DBTOUCH_CHECK_OK(kernel->RegisterTable(table));
+    if (paged) {
+      // Resident tables read in place; an explicit provider binding
+      // routes the column through the pool instead.
+      DBTOUCH_CHECK_OK(kernel->shared_state()->SetColumnProvider(
+          "big", 0,
+          std::make_shared<cache::TableBlockProvider>(
+              table, 0, config.buffer.rows_per_block)));
+    }
     auto obj = kernel->CreateColumnObject("big", "v",
                                           RectCm{2.0, 1.0, 2.0, 10.0});
     DBTOUCH_CHECK_OK(obj.status());

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "cache/block_provider.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "core/kernel.h"
@@ -289,12 +290,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AggregateOrderProperty,
 // ---- Storage-tier parity: identical gestures, bit-identical answers --------
 //
 // The same gesture script — column summaries and taps PLUS fat-table taps
-// and a group-by slide — runs against every backend: raw in-memory
-// reads, the paged buffer pool over the in-memory table (both with the
-// span kernels' default dispatch and with the scalar tier forced), the
-// pool over file-spilled columns, the spilled table with its matrix
-// actually reclaimed (SpillTable reclaim_raw: every read must come off
-// disk), the table PAX-spilled into one multi-column file, and the spill
+// and a group-by slide — runs against every backend: in-place reads of
+// the resident table, the buffer pool bound to the in-memory table
+// through a TableBlockProvider (both with the span kernels' default
+// dispatch and with the scalar tier forced), the pool over file-spilled
+// columns, the spilled table with its matrix actually reclaimed
+// (SpillTable reclaim_raw: every read must come off disk), the table PAX-spilled into one multi-column file, and the spill
 // written and faulted through O_DIRECT with aligned extents — at
 // 10/50/100% buffer budgets. The storage tier, the SIMD tier and the
 // budget are performance knobs; every answer must be bit-identical
@@ -333,7 +334,6 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
   constexpr std::int64_t kRows = 1 << 15;
   constexpr std::int64_t kRowsPerBlock = 1'024;
   KernelConfig config;
-  config.use_buffer_manager = backend != Backend::kInMemory;
   config.buffer.rows_per_block = kRowsPerBlock;
   config.buffer.budget_bytes = kRows * 8 * budget_pct / 100;
 
@@ -351,7 +351,18 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
                        backend == Backend::kDirectReclaimed;
   std::shared_ptr<core::SharedState> shared;
   std::string spill_dir;
-  if (spilled) {
+  if (backend == Backend::kPagedRam) {
+    // Resident tables read in place; binding the column to a table
+    // provider routes its reads through the pool at the given budget.
+    shared = std::make_shared<core::SharedState>(
+        config.sampling, /*force_eager=*/false, config.buffer);
+    const auto table = make_table();
+    DBTOUCH_CHECK_OK(shared->RegisterTable(table));
+    DBTOUCH_CHECK_OK(shared->SetColumnProvider(
+        "tier", 0,
+        std::make_shared<cache::TableBlockProvider>(table, 0,
+                                                    kRowsPerBlock)));
+  } else if (spilled) {
     std::string tmpl = (std::filesystem::temp_directory_path() /
                         "dbtouch_tier_parity_XXXXXX")
                            .string();
@@ -378,7 +389,7 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
     }
   }
   Kernel kernel(config, shared);
-  if (!spilled) {
+  if (shared == nullptr) {
     DBTOUCH_CHECK_OK(kernel.RegisterTable(make_table()));
   }
   const auto object = kernel.CreateColumnObject(

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/block_provider.h"
@@ -35,6 +36,7 @@ namespace {
 using core::ActionConfig;
 using core::Kernel;
 using core::KernelConfig;
+using core::ObjectId;
 using sim::MotionProfile;
 using sim::PointCm;
 using sim::TraceBuilder;
@@ -298,6 +300,66 @@ TEST(ReclaimTest, ReclaimFailsCleanlyWhileZeroCopyPinLiveThenSucceeds) {
   EXPECT_EQ(table->resident_raw_bytes(), 0);
   storage::PagedColumnCursor cursor(table->PagedColumnAt(0));
   EXPECT_EQ(cursor.GetInt64(300), 300);  // Served from the spill file.
+}
+
+TEST(ReclaimTest, ColumnCursorPinHoldsOffReclaimUntilGestureEnds) {
+  // A column object over a resident table reads in place: mid-gesture its
+  // cursor holds a zero-copy pin, so a PAX reclaim fails cleanly. The
+  // finger lift drops the pin and the retry frees the matrix. A column
+  // object created after the reclaim reads through the pool and gives the
+  // same answers.
+  ScratchDir dir;
+  auto shared = MakeShared(1'024);
+  auto table = MixedTable("live", 1 << 14);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  KernelConfig config;
+  config.buffer.rows_per_block = 1'024;
+  Kernel kernel(config, shared);
+  const RectCm frame{2.0, 1.0, 2.0, 10.0};
+  TraceBuilder builder(kernel.device());
+  const auto slide = [&](sim::Micros start_us) {
+    return builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                         MotionProfile::Constant(1.0), start_us);
+  };
+  const auto answers_of = [&](ObjectId id) {
+    std::vector<std::pair<RowId, std::int64_t>> out;
+    for (const auto& item : kernel.results().items()) {
+      if (item.object == id) {
+        out.emplace_back(item.row, item.value.AsInt());
+      }
+    }
+    return out;
+  };
+
+  const auto before = kernel.CreateColumnObject("live", "v", frame);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(kernel.SetAction(*before, ActionConfig::Scan()).ok());
+  const sim::GestureTrace first = slide(0);
+  ASSERT_GT(first.events.size(), 2u);
+  for (std::size_t i = 0; i + 1 < first.events.size(); ++i) {
+    kernel.OnTouch(first.events[i]);  // Every event but the finger lift.
+  }
+  ASSERT_FALSE(answers_of(*before).empty());
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
+  EXPECT_EQ(
+      shared->SpillTablePax("live", spiller, /*reclaim_raw=*/true).code(),
+      StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(table->raw_released());
+  kernel.OnTouch(first.events.back());  // Gesture end releases the pin.
+  ASSERT_TRUE(
+      shared->SpillTablePax("live", spiller, /*reclaim_raw=*/true).ok());
+  EXPECT_TRUE(table->raw_released());
+
+  const auto expect = answers_of(*before);
+  ASSERT_TRUE(kernel.DestroyObject(*before).ok());
+  const std::int64_t lookups = shared->buffer_manager().stats().lookups;
+  const auto after = kernel.CreateColumnObject("live", "v", frame);
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE(kernel.SetAction(*after, ActionConfig::Scan()).ok());
+  kernel.Replay(slide(/*start_us=*/5'000'000));
+  EXPECT_GT(shared->buffer_manager().stats().lookups, lookups);
+  EXPECT_EQ(answers_of(*after), expect);
+  EXPECT_EQ(kernel.stats().fetch_errors, 0);
 }
 
 // ---- Fat-table gestures over a reclaimed table -----------------------------

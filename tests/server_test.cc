@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cache/block_provider.h"
@@ -756,7 +758,13 @@ TEST(TouchServerTest, BufferManagerStatsSurfaceInSnapshot) {
   config.session_defaults.buffer.budget_bytes = 256 << 10;
   config.session_defaults.buffer.rows_per_block = 1'024;
   TouchServer server(config);
-  ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
+  const auto table = SequenceTable("t", 0);
+  ASSERT_TRUE(server.RegisterTable(table).ok());
+  // Resident tables read in place; bind the column to a table provider so
+  // its reads go through the pool.
+  auto provider = std::make_shared<cache::TableBlockProvider>(table, 0,
+                                                              1'024);
+  ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
   ASSERT_TRUE(server.Start().ok());
   const auto session = server.OpenSession();
   ASSERT_TRUE(session.ok());
@@ -780,6 +788,80 @@ TEST(TouchServerTest, BufferManagerStatsSurfaceInSnapshot) {
   EXPECT_LE(stats.buffer.peak_resident_bytes, stats.buffer.budget_bytes);
   EXPECT_GE(stats.buffer.hit_rate(), 0.0);
   ASSERT_TRUE(server.Stop().ok());
+}
+
+TEST(TouchServerTest, ResidentColumnsReadInPlaceAndMatchPoolBoundReads) {
+  // Two sessions slide over one resident column: a scan and a base-data
+  // summary. Read in place, the pool sees no lookup and holds no byte.
+  // Bound to a TableBlockProvider, the same slides go through the pool.
+  // The answers are bit-identical either way.
+  using Answer = std::tuple<storage::RowId, std::uint64_t, std::int64_t>;
+  struct Run {
+    std::vector<std::vector<Answer>> answers;
+    ServerStatsSnapshot stats;
+  };
+  const auto run = [](bool pool_bound) {
+    TouchServerConfig config = RelaxedConfig(2);
+    config.session_defaults.use_sampling = false;  // Bands read base data.
+    config.session_defaults.buffer.rows_per_block = 1'024;
+    TouchServer server(config);
+    const auto table = SequenceTable("t", 0);
+    EXPECT_TRUE(server.RegisterTable(table).ok());
+    if (pool_bound) {
+      auto provider =
+          std::make_shared<cache::TableBlockProvider>(table, 0, 1'024);
+      EXPECT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
+    }
+    EXPECT_TRUE(server.Start().ok());
+    Kernel reference{KernelConfig{}};
+    const sim::GestureTrace trace = SlideOver(server, reference, 1.0);
+    std::vector<SessionId> ids;
+    for (const ActionConfig& action :
+         {ActionConfig::Scan(), ActionConfig::Summary(200)}) {
+      const auto session = server.OpenSession();
+      EXPECT_TRUE(session.ok());
+      const auto object = server.CreateColumnObject(
+          *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
+      EXPECT_TRUE(object.ok());
+      EXPECT_TRUE(server.SetAction(*session, *object, action).ok());
+      ids.push_back(*session);
+    }
+    for (const SessionId id : ids) {
+      EXPECT_TRUE(server.SubmitTrace(id, trace, {.paced = false}).ok());
+    }
+    EXPECT_TRUE(server.Drain().ok());
+    Run out;
+    for (const SessionId id : ids) {
+      std::vector<Answer>& answers = out.answers.emplace_back();
+      EXPECT_TRUE(server
+                      .WithSession(id,
+                                   [&](Kernel& kernel) {
+                                     for (const auto& item :
+                                          kernel.results().items()) {
+                                       answers.emplace_back(
+                                           item.row,
+                                           std::bit_cast<std::uint64_t>(
+                                               item.value.ToDouble()),
+                                           item.rows_aggregated);
+                                     }
+                                   })
+                      .ok());
+    }
+    out.stats = server.stats();
+    EXPECT_TRUE(server.Stop().ok());
+    return out;
+  };
+
+  const Run in_place = run(/*pool_bound=*/false);
+  const Run pooled = run(/*pool_bound=*/true);
+  EXPECT_EQ(in_place.stats.buffer.lookups, 0);
+  EXPECT_EQ(in_place.stats.buffer.resident_bytes, 0);
+  EXPECT_GT(pooled.stats.buffer.lookups, 0);
+  EXPECT_GT(pooled.stats.buffer.resident_bytes, 0);
+  ASSERT_EQ(in_place.answers.size(), 2u);
+  EXPECT_GT(in_place.answers[0].size(), 10u);
+  EXPECT_GT(in_place.answers[1].size(), 10u);
+  EXPECT_EQ(in_place.answers, pooled.answers);
 }
 
 // ---- Async block fetch: suspend / resume / retry ----------------------------
