@@ -59,17 +59,6 @@ std::shared_ptr<dbtouch::storage::Table> MakeTable(std::int64_t rows) {
   return *table;
 }
 
-/// A pool source over `table`'s first column: every fault copies one
-/// block of the resident table into `manager`.
-std::shared_ptr<dbtouch::storage::PagedColumnSource> PoolSource(
-    BufferManager& manager,
-    const std::shared_ptr<dbtouch::storage::Table>& table) {
-  return manager.SourceFor(
-      table->name(), 0,
-      std::make_shared<dbtouch::cache::TableBlockProvider>(table, 0,
-                                                           kRowsPerBlock));
-}
-
 double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -156,7 +145,7 @@ void PolicyReport(const std::shared_ptr<dbtouch::storage::Table>& table,
       config.gesture_aware = aware;
       config.scan_run_length = 4;
       BufferManager manager(config);
-      auto source = PoolSource(manager, table);
+      auto source = *manager.ColumnSource(table, 0);
       dbtouch::storage::PagedColumnCursor cursor(source);
 
       // Study a region, scan far past it, then return.
@@ -208,7 +197,7 @@ void ColdWarmReport(const std::shared_ptr<dbtouch::storage::Table>& table,
     config.budget_bytes = table_bytes * pct / 100;
     config.gesture_aware = false;  // Pure LRU budget behaviour.
     BufferManager manager(config);
-    auto source = PoolSource(manager, table);
+    auto source = *manager.ColumnSource(table, 0);
     dbtouch::storage::PagedColumnCursor cursor(source);
     const std::string label = std::to_string(pct) + "%";
 
@@ -465,7 +454,7 @@ void SimdReport(dbtouch::bench::BenchReport& perf) {
   config.budget_bytes = g_report_rows * 8;  // 100%: warm comparisons.
   config.gesture_aware = false;
   BufferManager manager(config);
-  auto source = PoolSource(manager, table);
+  auto source = *manager.ColumnSource(table, 0);
   dbtouch::storage::PagedColumnCursor cursor(source);
   SequentialScan(cursor);  // Warm every block.
 
@@ -694,7 +683,7 @@ void BM_PagedScan(benchmark::State& state) {
   config.budget_bytes = kTableRows * 8 * state.range(0) / 100;
   config.gesture_aware = false;
   BufferManager manager(config);
-  auto source = PoolSource(manager, table);
+  auto source = *manager.ColumnSource(table, 0);
   dbtouch::storage::PagedColumnCursor cursor(source);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SequentialScan(cursor));

@@ -77,6 +77,13 @@ struct Kernel::ObjectState {
   /// finger pinned, so a slide inside one block re-pins nothing. Gesture
   /// end and taps drop it: a live zero-copy pin makes a reclaim fail.
   storage::PagedColumnCursor cursor;
+  /// True while `paged` slices the resident matrix in place. Such an
+  /// object holds `raw_hold` (a zero-copy pin) from its first event of a
+  /// gesture to the gesture's end, so no reclaim frees the matrix under
+  /// the gesture's reads; a reclaim between gestures moves it to the
+  /// pool (Kernel::HoldOrFollowReclaim).
+  bool in_place = false;
+  storage::BlockPin raw_hold;
   ObjectStats stats;
   /// Rotation gesture latch: fire once per gesture.
   bool rotation_fired_this_gesture = false;
@@ -149,8 +156,8 @@ Result<ObjectId> Kernel::CreateColumnObject(const std::string& table,
 
   DBTOUCH_ASSIGN_OR_RETURN(state->hierarchy,
                            shared_->GetOrBuildHierarchy(table, col));
-  DBTOUCH_ASSIGN_OR_RETURN(state->paged,
-                           shared_->GetColumnSource(table, col));
+  DBTOUCH_ASSIGN_OR_RETURN(
+      state->paged, shared_->GetColumnSource(table, col, &state->in_place));
   state->cursor = storage::PagedColumnCursor(state->paged);
 
   const ObjectId id = state->id;
@@ -301,6 +308,10 @@ Status Kernel::EnableJoin(ObjectId left, ObjectId right) {
   if (join != nullptr && pins != join_cache_tables_.end() &&
       pins->second.first == l->table && pins->second.second == r->table) {
     ++stats_.join_cache_hits;
+    // The cached join may read through sources of since-destroyed
+    // objects, or of a tier the columns have left; same values either way.
+    join->Rebind(exec::JoinSide::kLeft, lsrc);
+    join->Rebind(exec::JoinSide::kRight, rsrc);
   } else {
     join = std::make_shared<exec::SymmetricHashJoin>(lsrc, rsrc);
     join_cache_.Put(cache_key, join);
@@ -600,6 +611,7 @@ Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
     }
     return ProbeTableGesture(*obj, event, non_blocking, stall);
   }
+  HoldOrFollowReclaim(obj);
   if (!obj->paged->may_block()) {
     return true;  // No slow-tier reads possible.
   }
@@ -892,14 +904,7 @@ void Kernel::OnGesture(const GestureEvent& event) {
       break;
   }
   // Pending layout rotations convert a bounded chunk per touch.
-  if (obj->rotator != nullptr && !obj->rotator->done()) {
-    obj->rotator->Step();
-    if (obj->rotator->done()) {
-      DBTOUCH_CHECK_OK(obj->rotator->Finish());
-      obj->rotator.reset();
-      ++stats_.layout_rotations;
-    }
-  }
+  AdvanceRotation(obj);
   const std::int64_t wall = NowWallNs() - start_ns;
   stats_.exec_wall_ns += wall;
   stats_.max_touch_wall_ns = std::max(stats_.max_touch_wall_ns, wall);
@@ -916,6 +921,7 @@ void Kernel::OnGesture(const GestureEvent& event) {
     // the region is still a hit), nor zero-copy pins that block a reclaim.
     obj->BoundSource()->OnGesturePause();
     obj->cursor.ReleasePin();
+    obj->raw_hold.Release();
     if (obj->agg_op != nullptr) {
       obj->agg_op->ReleasePin();
     }
@@ -998,6 +1004,7 @@ void Kernel::HandleTap(const GestureEvent& event, ObjectState* obj) {
   item.value = obj->ReadBoundValue(mapping.row);
   // A tap is a whole gesture; it must not leave the block pinned.
   obj->cursor.ReleasePin();
+  obj->raw_hold.Release();
   results_.Append(std::move(item));
   ++stats_.entries_returned;
   ++stats_.rows_scanned;
@@ -1284,18 +1291,62 @@ Result<bool> Kernel::rotation_in_progress(ObjectId id) const {
   if (it == objects_.end()) {
     return Status::NotFound("no object " + std::to_string(id));
   }
-  return it->second->rotator != nullptr && !it->second->rotator->done();
+  return it->second->rotator != nullptr;
 }
 
 void Kernel::PumpMaintenance() {
   for (auto& [id, obj] : objects_) {
-    if (obj->rotator != nullptr && !obj->rotator->done()) {
-      obj->rotator->Step();
+    AdvanceRotation(obj.get());
+  }
+}
+
+void Kernel::AdvanceRotation(ObjectState* obj) {
+  if (obj->rotator == nullptr || !obj->rotator->Step()) {
+    return;
+  }
+  // The swap waits while readers (other sessions' cursors) hold zero-copy
+  // pins into the old matrix; the next touch or pump retries it. A table
+  // reclaimed meanwhile has no matrix left to rotate.
+  const Status finished = obj->rotator->Finish();
+  if (!finished.ok() && !obj->table->raw_released()) {
+    DBTOUCH_CHECK(finished.IsFailedPrecondition());
+    return;
+  }
+  obj->rotator.reset();
+  if (finished.ok()) {
+    ++stats_.layout_rotations;
+  }
+}
+
+void Kernel::HoldOrFollowReclaim(ObjectState* obj) {
+  if (!obj->in_place || obj->raw_hold.valid()) {
+    return;
+  }
+  Result<storage::BlockPin> hold = obj->paged->PinBlock(0);
+  if (hold.ok()) {
+    obj->raw_hold = std::move(*hold);
+    return;
+  }
+  if (!obj->table->raw_released()) {
+    return;  // An empty column: nothing to pin, nothing to read.
+  }
+  // The matrix was reclaimed since the last gesture: read on through the
+  // table's pool binding. Operator state carries over — same values.
+  obj->in_place = false;
+  obj->paged = obj->table->PagedColumnAt(*obj->column);
+  obj->cursor = storage::PagedColumnCursor(obj->paged);
+  if (obj->agg_op != nullptr) {
+    obj->agg_op->Rebind(obj->paged);
+  }
+  if (obj->filter_op != nullptr) {
+    obj->filter_op->Rebind(obj->paged);
+  }
+  for (JoinBinding& binding : joins_) {
+    if (binding.left == obj->id) {
+      binding.join->Rebind(exec::JoinSide::kLeft, obj->paged);
     }
-    if (obj->rotator != nullptr && obj->rotator->done()) {
-      DBTOUCH_CHECK_OK(obj->rotator->Finish());
-      obj->rotator.reset();
-      ++stats_.layout_rotations;
+    if (binding.right == obj->id) {
+      binding.join->Rebind(exec::JoinSide::kRight, obj->paged);
     }
   }
 }

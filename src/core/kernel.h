@@ -381,6 +381,13 @@ class Kernel {
   void HandleSlideStep(const gesture::GestureEvent& event, ObjectState* obj);
   void HandlePinchStep(const gesture::GestureEvent& event, ObjectState* obj);
   void HandleRotate(const gesture::GestureEvent& event, ObjectState* obj);
+  /// Steps the object's pending layout rotation and swaps it in once
+  /// converted and no zero-copy pin blocks the swap.
+  void AdvanceRotation(ObjectState* obj);
+  /// For a column object reading a resident matrix in place: takes the
+  /// gesture's zero-copy hold, or — when a reclaim freed the matrix —
+  /// rebinds the object, its operators and its joins to the pool.
+  void HoldOrFollowReclaim(ObjectState* obj);
 
   /// Executes the object's action for the touch mapped to `mapping`,
   /// appending results. Returns entries returned.

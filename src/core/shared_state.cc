@@ -72,7 +72,8 @@ std::shared_ptr<const index::ZoneMap> SharedState::GetOrBuildBaseZoneMap(
 }
 
 Result<std::shared_ptr<storage::PagedColumnSource>>
-SharedState::GetColumnSource(const std::string& table, std::size_t column) {
+SharedState::GetColumnSource(const std::string& table, std::size_t column,
+                             bool* in_place) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            catalog_.Get(table));
   {
@@ -101,6 +102,9 @@ SharedState::GetColumnSource(const std::string& table, std::size_t column) {
   // pool-backed rebind source once a spill reclaimed the matrix). The
   // slices borrow the table, so the handle's deleter pins it.
   auto source = t->PagedColumnAt(column, buffer_.config().rows_per_block);
+  if (in_place != nullptr) {
+    *in_place = !t->raw_released();
+  }
   return std::shared_ptr<storage::PagedColumnSource>(
       source.get(), [source, t](storage::PagedColumnSource*) {});
 }

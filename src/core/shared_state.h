@@ -88,8 +88,12 @@ class SharedState {
   /// The source one data object reads `table.column` through: the shared
   /// pool for a column bound to a provider (SetColumnProvider, SpillTable,
   /// SpillTablePax), else the table's release-gated zero-copy source.
+  /// `in_place`, when given, is set true for the zero-copy case: such a
+  /// source's pins fail with FailedPrecondition once a reclaim frees the
+  /// matrix, so its holder must move to Table::PagedColumnAt then.
   Result<std::shared_ptr<storage::PagedColumnSource>> GetColumnSource(
-      const std::string& table, std::size_t column);
+      const std::string& table, std::size_t column,
+      bool* in_place = nullptr);
 
   /// Binds `table.column` base reads to an explicit BlockProvider — the
   /// cold-tier deployment of paper Section 4 ("the server may store the
@@ -125,7 +129,10 @@ class SharedState {
   /// reclaim itself fail cleanly — the spill files stay written and
   /// bound, so retry once gestures pause — and zero-copy sources handed
   /// out BEFORE the reclaim return FailedPrecondition for pins after the
-  /// release. Reclaim before opening the table to sessions for zero
+  /// release. Kernel column objects hold a zero-copy pin for each whole
+  /// gesture and move to the pool binding at their next gesture, so they
+  /// keep answering; operators a table object built before the reclaim
+  /// do not. Reclaim before opening the table to sessions for zero
   /// disruption.
   Status SpillTable(const std::string& table, storage::TableSpiller& spiller,
                     bool reclaim_raw = false);

@@ -109,6 +109,12 @@ class TouchedAggregateOp {
   /// hold buffer-pool blocks pinned). No-op for unpaged sources.
   void ReleasePin() { cursor_.ReleasePin(); }
 
+  /// Reads on through `source`, which must hold the same values (the
+  /// column moved tiers, e.g. after a spill reclaim); state carries over.
+  void Rebind(std::shared_ptr<storage::PagedColumnSource> source) {
+    cursor_ = storage::PagedColumnCursor(std::move(source));
+  }
+
   void Reset();
 
  private:

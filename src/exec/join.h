@@ -15,6 +15,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "storage/column.h"
@@ -65,6 +66,14 @@ class SymmetricHashJoin {
   void ReleasePins() {
     cursors_[0].ReleasePin();
     cursors_[1].ReleasePin();
+  }
+
+  /// Reads `side`'s keys through `source` from now on; it must hold the
+  /// same values (the column moved tiers). Hash tables carry over.
+  void Rebind(JoinSide side,
+              std::shared_ptr<storage::PagedColumnSource> source) {
+    cursors_[static_cast<int>(side)] =
+        storage::PagedColumnCursor(std::move(source));
   }
 
  private:

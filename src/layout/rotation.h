@@ -41,7 +41,9 @@ class IncrementalRotator {
   bool done() const { return rows_converted_ >= total_rows_; }
 
   /// Swaps the rotated matrix into the table. FailedPrecondition unless
-  /// done(); after a successful Finish() the rotator is spent.
+  /// done(), or while readers hold zero-copy pins into the old matrix
+  /// (the converted matrix is kept; retry once gestures pause). After a
+  /// successful Finish() the rotator is spent.
   Status Finish();
 
  private:

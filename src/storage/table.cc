@@ -8,12 +8,13 @@
 namespace dbtouch::storage {
 
 /// Zero-copy paged source over a resident table column, gated against
-/// spill reclamation: every pin registers in the table's pin counter
-/// before touching the matrix, and ReleaseRaw refuses to free while any
-/// pin is live — so operators holding block views (group-bys, joins,
-/// summary cursors) can never dangle; a reclaim racing them fails
-/// cleanly and is retried once gestures pause. Pins attempted after the
-/// release fail with FailedPrecondition.
+/// spill reclamation and layout rotation: every pin registers in the
+/// table's pin counter before touching the matrix, and ReleaseRaw and
+/// ReplaceStorage refuse to free or move it while any pin is live — so
+/// operators holding block views (column cursors, group-bys, joins,
+/// summary cursors) can never dangle; a reclaim or rotation racing them
+/// fails cleanly and is retried once gestures pause. Pins attempted after
+/// the release fail with FailedPrecondition.
 class GatedTableColumnSource final : public PagedColumnSource {
  public:
   GatedTableColumnSource(const Table* table, std::size_t column,
@@ -39,17 +40,17 @@ class GatedTableColumnSource final : public PagedColumnSource {
       return Status::OutOfRange("block " + std::to_string(block) +
                                 " out of range");
     }
-    // Register first, check second; ReleaseRaw flips the flag first and
-    // checks the counter second — whichever interleaving, either the pin
-    // sees the flag (and backs out) or the release sees the pin (and
-    // backs out). seq_cst keeps the four accesses in one total order.
-    table_->zero_copy_pins_.fetch_add(1, std::memory_order_seq_cst);
-    if (table_->raw_released_.load(std::memory_order_seq_cst)) {
-      table_->zero_copy_pins_.fetch_sub(1, std::memory_order_seq_cst);
+    // Register under the gate held shared: ReleaseRaw and ReplaceStorage
+    // count live pins under it held exclusive, so a pin either registers
+    // before they look (and they back out) or runs after them (and sees
+    // the released flag or the new matrix).
+    const std::shared_lock<std::shared_mutex> lock(table_->raw_mu_);
+    if (table_->raw_released_.load(std::memory_order_acquire)) {
       return Status::FailedPrecondition(
           "raw storage of table '" + table_->name() +
           "' was released after a spill; rebind through PagedColumnAt");
     }
+    table_->zero_copy_pins_.fetch_add(1, std::memory_order_relaxed);
     const RowId first = BlockFirstRow(block);
     const ColumnView view =
         table_->storage_.ColumnAt(column_, dictionary());
@@ -59,7 +60,9 @@ class GatedTableColumnSource final : public PagedColumnSource {
 
  protected:
   void UnpinBlock(std::int64_t /*block*/) override {
-    table_->zero_copy_pins_.fetch_sub(1, std::memory_order_seq_cst);
+    // Release: reads through the pin happen-before a free that observes
+    // the count at zero.
+    table_->zero_copy_pins_.fetch_sub(1, std::memory_order_release);
   }
 
  private:
@@ -242,12 +245,17 @@ Column Table::ExtractColumn(std::size_t col) const {
   return out;
 }
 
-Status Table::ReplaceStorage(Matrix replacement) {
+Status Table::ReplaceStorage(Matrix&& replacement) {
   const std::unique_lock<std::shared_mutex> lock(raw_mu_);
   if (raw_released_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition(
         "table '" + name_ +
         "' is spilled; its layout lives in the block files");
+  }
+  if (zero_copy_pins_.load(std::memory_order_acquire) != 0) {
+    return Status::FailedPrecondition(
+        "table '" + name_ +
+        "' has live zero-copy pins; pause gestures and retry the swap");
   }
   if (!(replacement.schema() == schema_)) {
     return Status::InvalidArgument("replacement schema mismatch");
@@ -281,24 +289,22 @@ Status Table::ReleaseRaw(
   }
   // Exclusive lock: every transient raw reader in flight drains first,
   // every later one observes the released state. Zero-copy pins
-  // (GatedTableColumnSource) are longer-lived than a lock hold, so they
-  // are handled by counter instead: flip the flag, then look for
-  // survivors — a pin registers before checking the flag, so whichever
-  // side moves second backs out. Live pins abort the release cleanly
-  // (the matrix stays; the caller retries once gestures pause).
+  // (GatedTableColumnSource) outlive any lock hold, so they are counted
+  // instead: they register under the lock held shared, and live ones
+  // abort the release cleanly (the matrix stays; the caller retries once
+  // gestures pause).
   const std::unique_lock<std::shared_mutex> lock(raw_mu_);
-  if (raw_released_.load(std::memory_order_seq_cst)) {
+  if (raw_released_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("raw storage of table '" + name_ +
                                       "' already released");
   }
-  raw_released_.store(true, std::memory_order_seq_cst);
-  if (zero_copy_pins_.load(std::memory_order_seq_cst) != 0) {
-    raw_released_.store(false, std::memory_order_seq_cst);
+  if (zero_copy_pins_.load(std::memory_order_acquire) != 0) {
     return Status::FailedPrecondition(
         "table '" + name_ +
         "' has live zero-copy pins; pause gestures and retry the reclaim");
   }
   paged_rebind_ = std::move(paged);
+  raw_released_.store(true, std::memory_order_release);
   storage_.ReleaseStorage();
   return Status::OK();
 }

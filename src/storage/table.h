@@ -93,15 +93,16 @@ class Table {
   /// paged tier on a released table.
   Column ExtractColumn(std::size_t col) const;
 
-  /// Direct storage access for the layout manager.
-  Matrix& mutable_storage() { return storage_; }
+  /// Read access for the layout manager; swaps go through ReplaceStorage.
   const Matrix& storage() const { return storage_; }
 
   /// Swaps in a replacement matrix (must have the same schema and row
   /// count); used when a layout rotation completes. FailedPrecondition on
   /// a released table (its data lives in the spill files; there is no
-  /// matrix to rotate).
-  Status ReplaceStorage(Matrix replacement);
+  /// matrix to rotate) and while zero-copy pins are live (moving the
+  /// matrix would dangle their views; `replacement` is left intact for a
+  /// retry once gestures pause).
+  Status ReplaceStorage(Matrix&& replacement);
 
   // ---- Spill reclamation ---------------------------------------------------
 
@@ -141,9 +142,9 @@ class Table {
   /// instead of freeing under them.
   mutable std::shared_mutex raw_mu_;
   std::atomic<bool> raw_released_{false};
-  /// Live zero-copy pins into the matrix (GatedTableColumnSource).
-  /// ReleaseRaw refuses to free while any exist; pins check the released
-  /// flag after registering, so the two can never miss each other.
+  /// Live zero-copy pins into the matrix (GatedTableColumnSource),
+  /// registered under raw_mu_ held shared. ReleaseRaw and ReplaceStorage
+  /// refuse to free or move the matrix while any exist.
   mutable std::atomic<std::int64_t> zero_copy_pins_{0};
   /// Per-column paged rebinds, set once by ReleaseRaw and immutable after
   /// (readers see them only behind the acquire-load of raw_released_).

@@ -253,7 +253,6 @@ std::shared_ptr<storage::Table> SequenceTable(std::int64_t rows) {
   return *table;
 }
 
-// ColumnSource: the auto-bound TableBlockProvider over a resident table.
 TEST(BufferManagerTest, TableProviderReadsAreByteIdenticalToViews) {
   const std::int64_t rows = 257;  // Two full blocks + a 57-row tail.
   auto table = SequenceTable(rows);
@@ -281,9 +280,9 @@ TEST(BufferManagerTest, StringColumnsDecodeThroughDictionary) {
   BufferManagerConfig config;
   config.rows_per_block = 2;
   BufferManager manager(config);
-  auto source = manager.SourceFor(
-      "stars", 0, std::make_shared<TableBlockProvider>(*table, 0, 2));
-  storage::PagedColumnCursor cursor(source);
+  auto source = manager.ColumnSource(*table, 0);
+  ASSERT_TRUE(source.ok());
+  storage::PagedColumnCursor cursor(*source);
   EXPECT_EQ(cursor.GetValue(0).AsString(), "ursa");
   EXPECT_EQ(cursor.GetValue(3).AsString(), "vega");
 }
@@ -296,9 +295,9 @@ TEST(BufferManagerTest, ScanBeyondBudgetStaysBounded) {
   config.budget_bytes = 16 << 10;
   config.gesture_aware = false;  // Plain LRU: every block admitted.
   BufferManager manager(config);
-  auto source = manager.SourceFor(
-      "t", 0, std::make_shared<TableBlockProvider>(table, 0, 512));
-  storage::PagedColumnCursor cursor(source);
+  auto source = manager.ColumnSource(table, 0);
+  ASSERT_TRUE(source.ok());
+  storage::PagedColumnCursor cursor(*source);
   double sum = 0.0;
   for (RowId r = 0; r < rows; ++r) {
     sum += cursor.GetAsDouble(r);
@@ -306,7 +305,7 @@ TEST(BufferManagerTest, ScanBeyondBudgetStaysBounded) {
   }
   EXPECT_EQ(sum, static_cast<double>(rows - 1) * rows / 2);
   const BlockCacheStats stats = manager.stats();
-  EXPECT_EQ(stats.faults, source->num_blocks());
+  EXPECT_EQ(stats.faults, (*source)->num_blocks());
   EXPECT_GT(stats.evictions, 0);
   EXPECT_LE(stats.peak_resident_bytes, config.budget_bytes);
 }
@@ -317,9 +316,9 @@ TEST(BufferManagerTest, WarmRegionHitsWithoutRefaulting) {
   config.rows_per_block = 256;
   config.gesture_aware = false;
   BufferManager manager(config);
-  auto source = manager.SourceFor(
-      "t", 0, std::make_shared<TableBlockProvider>(table, 0, 256));
-  storage::PagedColumnCursor cursor(source);
+  auto source = manager.ColumnSource(table, 0);
+  ASSERT_TRUE(source.ok());
+  storage::PagedColumnCursor cursor(*source);
   for (RowId r = 1'000; r < 2'000; ++r) {
     cursor.GetAsDouble(r);
   }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -303,11 +304,11 @@ TEST(ReclaimTest, ReclaimFailsCleanlyWhileZeroCopyPinLiveThenSucceeds) {
 }
 
 TEST(ReclaimTest, ColumnCursorPinHoldsOffReclaimUntilGestureEnds) {
-  // A column object over a resident table reads in place: mid-gesture its
-  // cursor holds a zero-copy pin, so a PAX reclaim fails cleanly. The
-  // finger lift drops the pin and the retry frees the matrix. A column
-  // object created after the reclaim reads through the pool and gives the
-  // same answers.
+  // A column object over a resident table reads in place: mid-gesture it
+  // holds zero-copy pins, so a PAX reclaim fails cleanly. The finger
+  // lift drops them and the retry frees the matrix. The same object's
+  // next slide moves to the pool and gives the same answers, as does a
+  // column object created after the reclaim.
   ScratchDir dir;
   auto shared = MakeShared(1'024);
   auto table = MixedTable("live", 1 << 14);
@@ -321,11 +322,12 @@ TEST(ReclaimTest, ColumnCursorPinHoldsOffReclaimUntilGestureEnds) {
     return builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
                          MotionProfile::Constant(1.0), start_us);
   };
-  const auto answers_of = [&](ObjectId id) {
+  const auto answers_of = [&](ObjectId id, std::size_t from) {
     std::vector<std::pair<RowId, std::int64_t>> out;
-    for (const auto& item : kernel.results().items()) {
-      if (item.object == id) {
-        out.emplace_back(item.row, item.value.AsInt());
+    const auto& items = kernel.results().items();
+    for (std::size_t i = from; i < items.size(); ++i) {
+      if (items[i].object == id) {
+        out.emplace_back(items[i].row, items[i].value.AsInt());
       }
     }
     return out;
@@ -339,27 +341,110 @@ TEST(ReclaimTest, ColumnCursorPinHoldsOffReclaimUntilGestureEnds) {
   for (std::size_t i = 0; i + 1 < first.events.size(); ++i) {
     kernel.OnTouch(first.events[i]);  // Every event but the finger lift.
   }
-  ASSERT_FALSE(answers_of(*before).empty());
+  const auto expect = answers_of(*before, 0);
+  ASSERT_FALSE(expect.empty());
   TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
   EXPECT_EQ(
       shared->SpillTablePax("live", spiller, /*reclaim_raw=*/true).code(),
       StatusCode::kFailedPrecondition);
   EXPECT_FALSE(table->raw_released());
-  kernel.OnTouch(first.events.back());  // Gesture end releases the pin.
+  kernel.OnTouch(first.events.back());  // Gesture end releases the pins.
   ASSERT_TRUE(
       shared->SpillTablePax("live", spiller, /*reclaim_raw=*/true).ok());
   EXPECT_TRUE(table->raw_released());
 
-  const auto expect = answers_of(*before);
+  std::int64_t lookups = shared->buffer_manager().stats().lookups;
+  std::size_t from = kernel.results().items().size();
+  kernel.Replay(slide(/*start_us=*/5'000'000));
+  EXPECT_GT(shared->buffer_manager().stats().lookups, lookups);
+  EXPECT_EQ(answers_of(*before, from), expect);
+
   ASSERT_TRUE(kernel.DestroyObject(*before).ok());
-  const std::int64_t lookups = shared->buffer_manager().stats().lookups;
+  lookups = shared->buffer_manager().stats().lookups;
+  from = kernel.results().items().size();
   const auto after = kernel.CreateColumnObject("live", "v", frame);
   ASSERT_TRUE(after.ok());
   ASSERT_TRUE(kernel.SetAction(*after, ActionConfig::Scan()).ok());
-  kernel.Replay(slide(/*start_us=*/5'000'000));
+  kernel.Replay(slide(/*start_us=*/10'000'000));
   EXPECT_GT(shared->buffer_manager().stats().lookups, lookups);
-  EXPECT_EQ(answers_of(*after), expect);
+  EXPECT_EQ(answers_of(*after, from), expect);
   EXPECT_EQ(kernel.stats().fetch_errors, 0);
+}
+
+TEST(ReclaimTest, AggregateAndJoinStateFollowReclaimBetweenGestures) {
+  // Operator state built over in-place reads carries across a reclaim:
+  // an aggregate half fed before it ends where an all-resident run ends,
+  // and a join, live or re-enabled from the cache, keeps matching
+  // against the rows it hashed before.
+  const auto run = [](bool reclaim_midway) {
+    ScratchDir dir;
+    auto shared = MakeShared(1'024);
+    auto table = MixedTable("live", 1 << 14);
+    EXPECT_TRUE(shared->RegisterTable(table).ok());
+    KernelConfig config;
+    config.buffer.rows_per_block = 1'024;
+    Kernel kernel(config, shared);
+    TraceBuilder builder(kernel.device());
+    const auto agg = kernel.CreateColumnObject("live", "v",
+                                               RectCm{2.0, 1.0, 2.0, 10.0});
+    const auto left = kernel.CreateColumnObject("live", "v",
+                                                RectCm{5.0, 1.0, 1.0, 10.0});
+    const auto right = kernel.CreateColumnObject("live", "v",
+                                                 RectCm{7.0, 1.0, 1.0, 10.0});
+    EXPECT_TRUE(agg.ok() && left.ok() && right.ok());
+    EXPECT_TRUE(kernel
+                    .SetAction(*agg, ActionConfig::Aggregate(
+                                         exec::AggKind::kSum))
+                    .ok());
+    EXPECT_TRUE(kernel.EnableJoin(*left, *right).ok());
+    const auto slide = [&](double x, double from_y, double to_y,
+                           sim::Micros start_us) {
+      kernel.Replay(builder.Slide("slide", PointCm{x, from_y},
+                                  PointCm{x, to_y},
+                                  MotionProfile::Constant(0.5), start_us));
+    };
+    slide(3.0, 1.0, 6.0, 0);
+    slide(5.5, 1.0, 6.0, 1'000'000);
+    if (reclaim_midway) {
+      TableSpiller spiller(dir.path(),
+                           SpillOptions{.rows_per_block = 1'024});
+      EXPECT_TRUE(
+          shared->SpillTablePax("live", spiller, /*reclaim_raw=*/true).ok());
+      EXPECT_TRUE(table->raw_released());
+    }
+    slide(3.0, 6.0, 11.0, 2'000'000);
+    slide(7.5, 1.0, 6.0, 3'000'000);  // Same rows as the left slide.
+    // Re-enabled from the cache over objects created after the reclaim,
+    // the join reads through their sources, not the cached ones.
+    EXPECT_TRUE(kernel.DestroyObject(*left).ok());
+    EXPECT_TRUE(kernel.DestroyObject(*right).ok());
+    const auto left2 = kernel.CreateColumnObject(
+        "live", "v", RectCm{5.0, 1.0, 1.0, 10.0});
+    const auto right2 = kernel.CreateColumnObject(
+        "live", "v", RectCm{7.0, 1.0, 1.0, 10.0});
+    EXPECT_TRUE(left2.ok() && right2.ok());
+    EXPECT_TRUE(kernel.EnableJoin(*left2, *right2).ok());
+    EXPECT_EQ(kernel.stats().join_cache_hits, 1);
+    slide(5.5, 6.0, 11.0, 4'000'000);
+    slide(7.5, 6.0, 11.0, 5'000'000);
+    std::vector<std::string> out;
+    for (const auto& item : kernel.results().items()) {
+      out.push_back(std::string(core::ResultKindName(item.kind)) + ":" +
+                    std::to_string(item.row) + ":" + item.value.ToString());
+    }
+    EXPECT_EQ(kernel.stats().fetch_errors, 0);
+    return out;
+  };
+  const auto resident = run(/*reclaim_midway=*/false);
+  const auto count = [&](const std::string& kind) {
+    return std::count_if(resident.begin(), resident.end(),
+                         [&](const std::string& s) {
+                           return s.starts_with(kind + ":");
+                         });
+  };
+  EXPECT_GT(count(core::ResultKindName(core::ResultKind::kAggregate)), 8);
+  EXPECT_GT(count(core::ResultKindName(core::ResultKind::kJoinMatch)), 4);
+  EXPECT_EQ(run(/*reclaim_midway=*/true), resident);
 }
 
 // ---- Fat-table gestures over a reclaimed table -----------------------------

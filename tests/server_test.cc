@@ -9,12 +9,13 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/block_provider.h"
@@ -795,7 +796,7 @@ TEST(TouchServerTest, ResidentColumnsReadInPlaceAndMatchPoolBoundReads) {
   // summary. Read in place, the pool sees no lookup and holds no byte.
   // Bound to a TableBlockProvider, the same slides go through the pool.
   // The answers are bit-identical either way.
-  using Answer = std::tuple<storage::RowId, std::uint64_t, std::int64_t>;
+  using Answer = std::pair<storage::RowId, std::uint64_t>;
   struct Run {
     std::vector<std::vector<Answer>> answers;
     ServerStatsSnapshot stats;
@@ -832,20 +833,16 @@ TEST(TouchServerTest, ResidentColumnsReadInPlaceAndMatchPoolBoundReads) {
     EXPECT_TRUE(server.Drain().ok());
     Run out;
     for (const SessionId id : ids) {
+      api::SessionSnapshotReq req;
+      req.session = id;
+      req.max_results = 1'000'000;
+      const auto snapshot = server.Call(req);
+      EXPECT_TRUE(snapshot.ok());
       std::vector<Answer>& answers = out.answers.emplace_back();
-      EXPECT_TRUE(server
-                      .WithSession(id,
-                                   [&](Kernel& kernel) {
-                                     for (const auto& item :
-                                          kernel.results().items()) {
-                                       answers.emplace_back(
-                                           item.row,
-                                           std::bit_cast<std::uint64_t>(
-                                               item.value.ToDouble()),
-                                           item.rows_aggregated);
-                                     }
-                                   })
-                      .ok());
+      for (const api::ResultInfo& item : snapshot->results) {
+        answers.emplace_back(item.row,
+                             std::bit_cast<std::uint64_t>(item.value));
+      }
     }
     out.stats = server.stats();
     EXPECT_TRUE(server.Stop().ok());
@@ -862,6 +859,88 @@ TEST(TouchServerTest, ResidentColumnsReadInPlaceAndMatchPoolBoundReads) {
   EXPECT_GT(in_place.answers[0].size(), 10u);
   EXPECT_GT(in_place.answers[1].size(), 10u);
   EXPECT_EQ(in_place.answers, pooled.answers);
+}
+
+TEST(TouchServerTest, LayoutRotationWaitsForOtherSessionsZeroCopyPins) {
+  // Session A scans a resident column in place, so mid-gesture it holds
+  // zero-copy pins into the table's matrix. Session B rotates the same
+  // table. Moving the matrix under A's pins would dangle them: the swap
+  // waits for A's finger lift and lands on B's next touch. Then both
+  // sessions run concurrently; A's answers stay exact throughout.
+  TouchServerConfig config = RelaxedConfig(2);
+  config.allow_layout_rotation = true;
+  config.session_defaults.rotation_rows_per_step = 4'000;
+  TouchServer server(config);
+  const auto table = SequenceTable("t", 0);
+  ASSERT_TRUE(server.RegisterTable(table).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const storage::MajorOrder initial = table->layout();
+  Kernel reference{KernelConfig{}};
+  TraceBuilder builder(reference.device());
+
+  const auto a = server.OpenSession();
+  ASSERT_TRUE(a.ok());
+  const auto column =
+      server.CreateColumnObject(*a, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
+  ASSERT_TRUE(column.ok());
+  ASSERT_TRUE(server.SetAction(*a, *column, ActionConfig::Scan()).ok());
+  const auto b = server.OpenSession();
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(
+      server.CreateTableObject(*b, "t", RectCm{6.0, 1.0, 4.0, 10.0}).ok());
+  // Fingers at (7..9, 3) hit the table object in either orientation.
+  const auto rotate = [&](sim::Micros start_us) {
+    return builder.TwoFingerRotate("rotate", PointCm{8.0, 3.0}, 1.0, 0.0,
+                                   M_PI / 2.0, 1.0, start_us);
+  };
+  const auto tap = [&](sim::Micros start_us) {
+    return builder.Tap("tap", PointCm{8.0, 3.0}, 0.05, start_us);
+  };
+  const auto slide = [&](sim::Micros start_us) {
+    return builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                         MotionProfile::Constant(1.0), start_us);
+  };
+
+  sim::GestureTrace held = slide(0);
+  ASSERT_GT(held.events.size(), 2u);
+  sim::GestureTrace lift;
+  lift.events.push_back(held.events.back());
+  held.events.pop_back();
+  ASSERT_TRUE(server.SubmitTrace(*a, held, {.paced = false}).ok());
+  ASSERT_TRUE(server.Drain().ok());
+  ASSERT_TRUE(server.SubmitTrace(*b, rotate(0), {.paced = false}).ok());
+  ASSERT_TRUE(server.SubmitTrace(*b, tap(2'000'000), {.paced = false}).ok());
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(table->layout(), initial);  // Converted, swap held off.
+  ASSERT_TRUE(server.SubmitTrace(*a, lift, {.paced = false}).ok());
+  ASSERT_TRUE(server.Drain().ok());
+  ASSERT_TRUE(server.SubmitTrace(*b, tap(4'000'000), {.paced = false}).ok());
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_NE(table->layout(), initial);  // Landed once A's pins dropped.
+
+  for (int round = 0; round < 4; ++round) {
+    const sim::Micros start_us = 10'000'000 + round * 5'000'000;
+    ASSERT_TRUE(
+        server.SubmitTrace(*a, slide(start_us), {.paced = false}).ok());
+    ASSERT_TRUE(
+        server.SubmitTrace(*b, rotate(start_us), {.paced = false}).ok());
+    ASSERT_TRUE(server.SubmitTrace(*b, tap(start_us + 2'000'000),
+                                   {.paced = false})
+                    .ok());
+  }
+  ASSERT_TRUE(server.Drain().ok());
+
+  api::SessionSnapshotReq req;
+  req.session = *a;
+  req.max_results = 1'000'000;
+  const auto snapshot = server.Call(req);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_GT(snapshot->results.size(), 50u);
+  for (const api::ResultInfo& item : snapshot->results) {
+    EXPECT_EQ(item.value, static_cast<double>(item.row));
+  }
+  EXPECT_EQ(table->GetValue(7'777, 0).AsInt(), 7'777);
+  ASSERT_TRUE(server.Stop().ok());
 }
 
 // ---- Async block fetch: suspend / resume / retry ----------------------------

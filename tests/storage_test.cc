@@ -344,6 +344,28 @@ TEST(TableTest, ReplaceStorageRejectsMismatch) {
       table->ReplaceStorage(std::move(wrong)).IsInvalidArgument());
 }
 
+TEST(TableTest, ReplaceStorageWaitsForZeroCopyPins) {
+  // A reader holding a zero-copy pin slices the current matrix; moving
+  // it would dangle the view. The swap is refused, the replacement kept,
+  // and the retry after the pin drops lands.
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt32("a", {1, 2, 3}));
+  auto table = *Table::FromColumns("t", std::move(cols));
+  auto source = table->PagedColumnAt(0, 2);
+  PagedColumnCursor cursor(source);
+  EXPECT_EQ(cursor.GetInt32(2), 3);  // Pins block 1.
+  Matrix rotated = table->storage().ToOrder(MajorOrder::kRowMajor);
+  // Refused swaps leave the (rvalue-referenced) replacement untouched.
+  EXPECT_TRUE(
+      table->ReplaceStorage(std::move(rotated)).IsFailedPrecondition());
+  EXPECT_EQ(table->layout(), MajorOrder::kColumnMajor);
+  EXPECT_EQ(cursor.GetInt32(2), 3);
+  cursor.ReleasePin();
+  ASSERT_TRUE(table->ReplaceStorage(std::move(rotated)).ok());
+  EXPECT_EQ(table->layout(), MajorOrder::kRowMajor);
+  EXPECT_EQ(cursor.GetInt32(2), 3);  // Re-pins a slice of the new matrix.
+}
+
 TEST(CatalogTest, RegisterGetDrop) {
   Catalog catalog;
   std::vector<Column> cols;
