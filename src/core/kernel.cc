@@ -115,15 +115,22 @@ struct Kernel::ObjectState {
   }
 };
 
+sampling::LevelReach LevelReachOf(const KernelConfig& config) {
+  return sampling::LevelReach{
+      sim::TouchDevice(config.device)
+          .DistinctPositions(config.zoom_max_extent_cm),
+      config.level_policy};
+}
+
 Kernel::Kernel(const KernelConfig& config, std::shared_ptr<SharedState> shared)
     : config_(config),
       device_(config.device),
       recognizer_(config.recognizer),
       shared_(shared != nullptr
                   ? std::move(shared)
-                  : std::make_shared<SharedState>(config.sampling,
-                                                  /*force_eager=*/false,
-                                                  config.buffer)),
+                  : std::make_shared<SharedState>(
+                        config.sampling, /*force_eager=*/false,
+                        config.buffer, LevelReachOf(config))),
       root_view_("screen",
                  touch::RectCm{0.0, 0.0, config.device.screen_width_cm,
                                config.device.screen_height_cm}),
@@ -635,7 +642,10 @@ Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
         break;
       case ActionKind::kSummary: {
         if (ChooseLevelFor(*obj, event) > 0) {
-          return true;  // Served from the in-memory sample hierarchy.
+          // Served from the in-memory sample hierarchy. A level below
+          // its reach (an object taller than the zoom clamp) is built on
+          // this first read, blocking on the base like a sync fault.
+          return true;
         }
         const std::int64_t k = SummaryBandK(*obj);
         first = std::max<RowId>(row - k, 0);

@@ -17,8 +17,9 @@
 //
 // Thread-safety: one kernel serves one session and is not internally
 // synchronised — the touch server serialises each session's touches.
-// Kernels sharing a SharedState may run on different threads because all
-// shared artefacts are immutable after construction.
+// Kernels sharing a SharedState may run on different threads because
+// shared artefacts are immutable once built (a sample level built on its
+// first read is published under its hierarchy's lock).
 
 #ifndef DBTOUCH_CORE_KERNEL_H_
 #define DBTOUCH_CORE_KERNEL_H_
@@ -104,6 +105,11 @@ struct KernelConfig {
   /// when the extrapolator predicts a long reach).
   int max_prefetch_blocks_per_touch = 8;
 };
+
+/// What the level policy of kernels running `config` can select: objects
+/// are at most zoom_max_extent_cm tall on `device`. A SharedState builds
+/// the sample levels finer than that reach only on first use.
+sampling::LevelReach LevelReachOf(const KernelConfig& config);
 
 struct KernelStats {
   std::int64_t touch_events = 0;

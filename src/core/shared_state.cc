@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "core/kernel.h"
 #include "storage/spill.h"
 
 namespace dbtouch::core {
@@ -10,10 +11,15 @@ namespace dbtouch::core {
 SharedState::SharedState(sampling::SampleHierarchyConfig sampling,
                          bool force_eager,
                          const cache::BufferManagerConfig& buffer)
-    : sampling_(sampling), buffer_(buffer) {
+    : SharedState(sampling, force_eager, buffer,
+                  LevelReachOf(KernelConfig{})) {}
+
+SharedState::SharedState(sampling::SampleHierarchyConfig sampling,
+                         bool force_eager,
+                         const cache::BufferManagerConfig& buffer,
+                         const sampling::LevelReach& reach)
+    : sampling_(sampling), reach_(reach), buffer_(buffer) {
   if (force_eager) {
-    // Lazy materialisation mutates level storage on first read; under
-    // sharing every level must exist before the hierarchy is handed out.
     sampling_.eager = true;
   }
 }
@@ -38,12 +44,21 @@ SharedState::GetOrBuildHierarchy(const std::string& table,
   // reclaimed table has no matrix to stride over — the rebuild pins
   // blocks of its paged rebind source instead (streamed through the
   // shared pool, so even this build honours the byte budget).
-  auto hierarchy =
-      t->raw_released()
-          ? std::make_shared<sampling::SampleHierarchy>(
-                t->PagedColumnAt(column), sampling_)
-          : std::make_shared<sampling::SampleHierarchy>(
-                t->ColumnViewAt(column), sampling_);
+  std::shared_ptr<sampling::SampleHierarchy> hierarchy;
+  if (t->raw_released()) {
+    hierarchy = std::make_shared<sampling::SampleHierarchy>(
+        t->PagedColumnAt(column), sampling_, reach_);
+  } else {
+    // Builds read the release-gated in-place source, not the raw view: a
+    // lazy build may run long after a layout rotation replaced the matrix
+    // the view points into. The handle pins the table it borrows.
+    auto gated = t->PagedColumnAt(column);
+    hierarchy = std::make_shared<sampling::SampleHierarchy>(
+        t->ColumnViewAt(column),
+        std::shared_ptr<storage::PagedColumnSource>(
+            gated.get(), [gated, t](storage::PagedColumnSource*) {}),
+        sampling_, reach_);
+  }
   if (it != hierarchies_.end()) {
     indexes_.erase(it->second.hierarchy.get());
   }
@@ -187,8 +202,8 @@ Status SharedState::SpillTable(const std::string& table,
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, entry] : hierarchies_) {
     if (entry.table == t) {
-      // Materialises any unbuilt levels from the still-valid matrix,
-      // then pins blocks for everything after.
+      // Materialises any unbuilt reachable levels from the still-valid
+      // matrix, then pins blocks for every later build.
       entry.hierarchy->RebindBase(sources[key.second]);
     }
   }

@@ -9,10 +9,12 @@
 // result stream, session tracker) stays inside the per-session Kernel.
 //
 // Thread-safety contract: construction of shared artefacts (hierarchies,
-// zone maps) happens under an internal mutex; everything handed out is
-// immutable afterwards, so per-touch reads take no locks. Sample
-// hierarchies are always built eagerly here — lazy materialisation is a
-// single-user optimisation that would race under sharing.
+// zone maps) happens under an internal mutex; per-touch reads take no
+// locks. Sample hierarchies build the levels the sessions' level policy
+// can select before they are handed out; a finer level is built on its
+// first use under the hierarchy's own mutex and published with release
+// ordering (sampling/sample_hierarchy.h), so lazy builds are safe under
+// sharing and a built level is immutable.
 //
 // The SharedState also owns the server-wide cache::BufferManager, which
 // holds only blocks that do not live in RAM (spilled or remote columns,
@@ -46,13 +48,19 @@ namespace dbtouch::core {
 
 class SharedState {
  public:
-  /// `force_eager`: build every hierarchy level up front. Required when
-  /// the state is shared across sessions (lazy materialisation would
-  /// race); a Kernel's private SharedState passes false to honour the
-  /// user's sampling config exactly as the single-user system did.
+  /// `force_eager`: build every reachable hierarchy level up front, so no
+  /// session's touch pays for a build (the server's choice); a Kernel's
+  /// private SharedState passes false to honour the user's sampling config
+  /// exactly as the single-user system did. `reach`: what the sessions'
+  /// level policy can select (core::LevelReachOf); levels it cannot reach
+  /// are built on first use only. The 3-argument form assumes
+  /// KernelConfig{} defaults.
   explicit SharedState(sampling::SampleHierarchyConfig sampling = {},
                        bool force_eager = true,
                        const cache::BufferManagerConfig& buffer = {});
+  SharedState(sampling::SampleHierarchyConfig sampling, bool force_eager,
+              const cache::BufferManagerConfig& buffer,
+              const sampling::LevelReach& reach);
 
   SharedState(const SharedState&) = delete;
   SharedState& operator=(const SharedState&) = delete;
@@ -64,9 +72,9 @@ class SharedState {
     return catalog_.Register(std::move(table));
   }
 
-  /// The sample hierarchy over `table.column`, built eagerly on first
-  /// request and shared by every session thereafter. The hierarchy is
-  /// immutable once returned; concurrent LevelView reads are safe.
+  /// The sample hierarchy over `table.column`, built on first request and
+  /// shared by every session thereafter; concurrent LevelView reads (and
+  /// the lazy builds they may trigger) are safe.
   Result<std::shared_ptr<sampling::SampleHierarchy>> GetOrBuildHierarchy(
       const std::string& table, std::size_t column);
 
@@ -115,8 +123,9 @@ class SharedState {
   ///
   /// With `reclaim_raw`, the spill then actually frees memory: every
   /// shared sample hierarchy over the table is rebound to the paged tier
-  /// (its level copies are materialised first — they are all that
-  /// survives in RAM), and the table's matrix storage is released
+  /// (its reachable level copies are materialised first — they are all
+  /// that survives in RAM; finer levels, if ever needed, are built later
+  /// from the paged tier), and the table's matrix storage is released
   /// (storage::Table::ReleaseRaw), so the tracked resident bytes of the
   /// table drop to ~0 and the pool's byte budget becomes the only bound
   /// on base-data residency — the out-of-core promise made literal.
@@ -170,6 +179,7 @@ class SharedState {
 
   storage::Catalog catalog_;
   sampling::SampleHierarchyConfig sampling_;
+  sampling::LevelReach reach_;
   cache::BufferManager buffer_;
 
   /// Cached artefacts pin the Table they were built over: the pin keeps

@@ -22,9 +22,10 @@ const ZoneMap& LevelIndexSet::ZoneMapAt(int level) {
     // Shrink zone size with the level so zones cover similar object area.
     const std::int64_t rows = std::max<std::int64_t>(
         rows_per_zone_ >> level, 16);
-    // A spilled base has no raw level-0 view; build by pinning blocks.
-    slot = level == 0 && hierarchy_->base_is_paged()
-               ? std::make_unique<ZoneMap>(hierarchy_->paged_base(), rows)
+    // The base is read through pinned blocks: its raw view may be gone
+    // (spilled) or stale (a rotation replaced the matrix).
+    slot = level == 0
+               ? std::make_unique<ZoneMap>(hierarchy_->base_source(), rows)
                : std::make_unique<ZoneMap>(hierarchy_->LevelView(level),
                                            rows);
     ++stats_.zone_map_builds;
@@ -37,8 +38,8 @@ const SortedIndex& LevelIndexSet::SortedAt(int level) {
   DBTOUCH_CHECK(level >= 0 && level < hierarchy_->num_levels());
   auto& slot = sorted_[static_cast<std::size_t>(level)];
   if (slot == nullptr) {
-    slot = level == 0 && hierarchy_->base_is_paged()
-               ? std::make_unique<SortedIndex>(hierarchy_->paged_base())
+    slot = level == 0
+               ? std::make_unique<SortedIndex>(hierarchy_->base_source())
                : std::make_unique<SortedIndex>(hierarchy_->LevelView(level));
     ++stats_.sorted_builds;
   }

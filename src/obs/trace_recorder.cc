@@ -64,9 +64,21 @@ void TraceRecorder::Record(SpanStage stage, std::int64_t quantum,
                            std::int64_t b) {
   const std::uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[index & mask_];
-  // Invalidate, write payload, publish: a reader comparing tickets across
-  // its copy can only accept a slot whose payload it saw complete.
-  slot.ticket.store(0, std::memory_order_release);
+  // Claim the slot: only one writer may fill it at a time. A writer that
+  // finds it mid-write by another (a lap of the ring raced this one), or
+  // already holding a newer event, drops its own event instead of
+  // interleaving payload stores with it.
+  std::uint64_t seen = slot.ticket.load(std::memory_order_relaxed);
+  do {
+    if (seen == kWriting || seen > index + 1) {
+      lost_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  } while (!slot.ticket.compare_exchange_weak(seen, kWriting,
+                                              std::memory_order_relaxed));
+  // Orders the invalidating claim before the payload stores: a reader
+  // that sees any new payload field also sees the ticket moved.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.t_us.store(NowUs(), std::memory_order_relaxed);
   slot.quantum.store(quantum, std::memory_order_relaxed);
   slot.session.store(session, std::memory_order_relaxed);
@@ -115,8 +127,8 @@ std::vector<SpanEvent> TraceRecorder::Snapshot() const {
   events.reserve(slots_.size());
   for (const Slot& slot : slots_) {
     const std::uint64_t before = slot.ticket.load(std::memory_order_acquire);
-    if (before == 0) {
-      continue;  // Never written.
+    if (before == 0 || before == kWriting) {
+      continue;  // Never written, or being written.
     }
     SpanEvent event;
     event.t_us = slot.t_us.load(std::memory_order_relaxed);
@@ -126,7 +138,10 @@ std::vector<SpanEvent> TraceRecorder::Snapshot() const {
         static_cast<SpanStage>(slot.stage.load(std::memory_order_relaxed));
     event.a = slot.a.load(std::memory_order_relaxed);
     event.b = slot.b.load(std::memory_order_relaxed);
-    const std::uint64_t after = slot.ticket.load(std::memory_order_acquire);
+    // Orders the payload loads before the re-check: a payload store seen
+    // above makes the writer's claim visible here.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const std::uint64_t after = slot.ticket.load(std::memory_order_relaxed);
     if (after != before) {
       continue;  // Torn: a writer replaced the slot mid-copy.
     }
@@ -158,6 +173,7 @@ void TraceRecorder::DumpJson(JsonWriter& writer) const {
       "dropped",
       static_cast<std::int64_t>(
           recorded() > slots_.size() ? recorded() - slots_.size() : 0));
+  writer.Field("lost", static_cast<std::int64_t>(lost()));
   writer.Key("events");
   writer.BeginArray();
   for (const SpanEvent& event : events) {

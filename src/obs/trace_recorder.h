@@ -18,13 +18,15 @@
 // off), so the entire subsystem is one predictable branch per hook when
 // disabled; the ring is not even allocated.
 //
-// Consistency: every SpanEvent field is an atomic written with relaxed
-// stores between two release stores of the slot's ticket. Snapshot() reads
-// the ticket before and after copying and discards slots whose ticket
-// moved — a torn read is dropped, never misreported. (A writer lapping the
-// ring exactly once during one copy could in principle go unnoticed; with
-// capacity >= 2^14 that needs the reader to stall for a full ring rotation
-// mid-copy, which postmortem tooling can tolerate.)
+// Consistency: a writer claims its slot by CASing the slot's ticket to a
+// "writing" mark, stores every SpanEvent field (relaxed atomics) after a
+// release fence, and publishes the event's ticket with a release store.
+// Two writers a ring lap apart never fill one slot at once: the one that
+// loses the claim, or whose event is older than the slot's, drops its
+// event and counts it in lost(). Tickets in a slot therefore only grow,
+// and Snapshot() — ticket load, payload copy, acquire fence, ticket
+// re-load — discards any slot whose ticket moved: a torn read is dropped,
+// never misreported.
 //
 // Slow-quantum exemplars: completed quanta whose end-to-end latency tops
 // the retained set are kept separately (a small mutex-guarded top-K — the
@@ -109,7 +111,8 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Hot path: one fetch_add + seven relaxed stores. Safe from any thread.
+  /// Hot path: one fetch_add, one CAS + seven relaxed stores. Safe from
+  /// any thread.
   void Record(SpanStage stage, std::int64_t quantum, std::int64_t session,
               std::int64_t a = 0, std::int64_t b = 0);
 
@@ -129,15 +132,23 @@ class TraceRecorder {
 
   std::size_t capacity() const { return slots_.size(); }
 
+  /// Events dropped because a concurrent writer held (or had already
+  /// refilled) their slot — only possible when writers lap the ring.
+  std::uint64_t lost() const { return lost_.load(std::memory_order_relaxed); }
+
   /// Full postmortem document: config, counters, every live span event and
   /// the slow-quantum exemplars.
   void DumpJson(JsonWriter& writer) const;
   std::string DumpJson() const;
 
  private:
+  /// Ticket of a slot a writer has claimed and is filling.
+  static constexpr std::uint64_t kWriting = ~std::uint64_t{0};
+
   struct Slot {
-    /// 0 = never written; otherwise 1 + the event's global index. Written
-    /// (release) after the payload fields, re-checked by readers.
+    /// 0 = never written, kWriting = being filled, otherwise 1 + the
+    /// event's global index. Written (release) after the payload fields,
+    /// re-checked by readers.
     std::atomic<std::uint64_t> ticket{0};
     std::atomic<std::int64_t> t_us{0};
     std::atomic<std::int64_t> quantum{0};
@@ -150,6 +161,7 @@ class TraceRecorder {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::atomic<std::uint64_t> next_{0};
+  std::atomic<std::uint64_t> lost_{0};
 
   mutable std::mutex exemplar_mu_;
   std::vector<SlowQuantumExemplar> exemplars_;

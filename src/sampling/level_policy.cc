@@ -30,4 +30,11 @@ int ChooseLevel(std::int64_t base_rows, std::int64_t distinct_positions,
   return std::clamp(level + shed, 0, num_levels - 1);
 }
 
+int FinestReachableLevel(std::int64_t base_rows, std::int64_t max_positions,
+                         int num_levels, const LevelPolicyConfig& config) {
+  LevelPolicyConfig unshed = config;
+  unshed.shed_levels = 0;
+  return ChooseLevel(base_rows, max_positions, 1.0, num_levels, unshed);
+}
+
 }  // namespace dbtouch::sampling

@@ -41,6 +41,16 @@ int ChooseLevel(std::int64_t base_rows, std::int64_t distinct_positions,
                 double positions_per_event, int num_levels,
                 const LevelPolicyConfig& config = {});
 
+/// The finest level ChooseLevel can return for an object of `base_rows`
+/// tuples that never offers more than `max_positions` touchable positions
+/// (the largest zoom extent on the device). ChooseLevel at the slowest
+/// speed without shedding: for speed_weight >= 0 neither speed nor shed
+/// ever selects a finer level, so levels below this one are never read on
+/// the level-policy path and need not be built up front.
+int FinestReachableLevel(std::int64_t base_rows, std::int64_t max_positions,
+                         int num_levels,
+                         const LevelPolicyConfig& config = {});
+
 }  // namespace dbtouch::sampling
 
 #endif  // DBTOUCH_SAMPLING_LEVEL_POLICY_H_

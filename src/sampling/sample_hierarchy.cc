@@ -13,14 +13,25 @@ using storage::ColumnView;
 using storage::RowId;
 
 SampleHierarchy::SampleHierarchy(ColumnView base,
-                                 const SampleHierarchyConfig& config)
-    : base_(base), config_(config) {
-  Init();
+                                 const SampleHierarchyConfig& config,
+                                 const LevelReach& reach)
+    : SampleHierarchy(base,
+                      std::make_shared<storage::UnpagedColumnSource>(base),
+                      config, reach) {}
+
+SampleHierarchy::SampleHierarchy(
+    ColumnView base, std::shared_ptr<storage::PagedColumnSource> reads,
+    const SampleHierarchyConfig& config, const LevelReach& reach)
+    : base_(base), reads_(std::move(reads)), config_(config) {
+  DBTOUCH_CHECK(reads_ != nullptr);
+  DBTOUCH_CHECK(reads_->type() == base_.type());
+  DBTOUCH_CHECK(reads_->row_count() == base_.row_count());
+  Init(reach);
 }
 
 SampleHierarchy::SampleHierarchy(
     std::shared_ptr<storage::PagedColumnSource> base,
-    const SampleHierarchyConfig& config)
+    const SampleHierarchyConfig& config, const LevelReach& reach)
     : paged_base_(std::move(base)), config_(config) {
   DBTOUCH_CHECK(paged_base_ != nullptr);
   // Metadata-only view: null data, real type/row-count/dictionary. Level
@@ -28,10 +39,11 @@ SampleHierarchy::SampleHierarchy(
   base_ = ColumnView(paged_base_->type(), nullptr,
                      storage::TypeWidth(paged_base_->type()),
                      paged_base_->row_count(), paged_base_->dictionary());
-  Init();
+  reads_ = paged_base_;
+  Init(reach);
 }
 
-void SampleHierarchy::Init() {
+void SampleHierarchy::Init(const LevelReach& reach) {
   // Count how many levels clear the minimum-row threshold.
   int levels = 1;
   while (levels <= config_.max_level &&
@@ -39,78 +51,81 @@ void SampleHierarchy::Init() {
     ++levels;
   }
   num_levels_ = levels;
+  levels_.reserve(static_cast<std::size_t>(num_levels_ - 1));
   for (int l = 1; l < num_levels_; ++l) {
     levels_.emplace_back("sample", base_.type());
   }
-  materialized_.assign(levels_.size(), false);
+  built_ = std::make_unique<std::atomic<bool>[]>(
+      static_cast<std::size_t>(num_levels_));
+  built_[0].store(true, std::memory_order_relaxed);
+  eager_floor_ = std::max(
+      1, FinestReachableLevel(base_.row_count(), reach.max_positions,
+                              num_levels_, reach.policy));
   if (config_.eager) {
-    EnsureLevel(num_levels_ - 1);
-    for (int l = 1; l < num_levels_; ++l) {
-      EnsureLevel(l);
+    const std::lock_guard<std::mutex> lock(build_mu_);
+    for (int l = eager_floor_; l < num_levels_; ++l) {
+      BuildLocked(l);
     }
   }
 }
 
 bool SampleHierarchy::IsMaterialized(int level) const {
   DBTOUCH_CHECK(level >= 0 && level < num_levels_);
-  if (level == 0) {
-    return true;
-  }
-  return materialized_[static_cast<std::size_t>(level - 1)];
+  return built_[static_cast<std::size_t>(level)].load(
+      std::memory_order_acquire);
 }
 
 void SampleHierarchy::EnsureLevel(int level) {
-  DBTOUCH_CHECK(level >= 0 && level < num_levels_);
-  if (level == 0 || IsMaterialized(level)) {
+  if (IsMaterialized(level)) {
     return;
   }
-  // Build from the nearest materialised ancestor below (halving is cheap);
-  // fall back to striding over the base.
+  const std::lock_guard<std::mutex> lock(build_mu_);
+  BuildLocked(level);
+}
+
+void SampleHierarchy::BuildLocked(int level) {
+  if (IsMaterialized(level)) {
+    return;  // A racing caller built it while this one waited.
+  }
+  // Stride the nearest finer level already built — halving when it is
+  // the level just below — else the base. Only `level` is built: the
+  // levels in between may be ones no touch ever reads.
   int from = level - 1;
   while (from > 0 && !IsMaterialized(from)) {
     --from;
   }
-  // Materialise intermediate levels on the way up so the chain stays
-  // usable for future queries at neighbouring granularities.
-  for (int l = from + 1; l <= level; ++l) {
-    if (IsMaterialized(l)) {
-      continue;
+  // One read path for every source tier: a paged base strides over
+  // pinned blocks (the cursor keeps the block under the read pinned, so a
+  // stride smaller than a block re-pins nothing and the build streams
+  // through the cache); in-memory levels wrap in zero-copy cursors.
+  storage::PagedColumnCursor src =
+      from == 0 ? storage::PagedColumnCursor(reads_)
+                : storage::PagedColumnCursor(
+                      levels_[static_cast<std::size_t>(from - 1)].View());
+  const int shift = level - from;
+  Column& dst = levels_[static_cast<std::size_t>(level - 1)];
+  const std::int64_t rows = LevelRows(level);
+  dst.Reserve(rows);
+  for (std::int64_t s = 0; s < rows; ++s) {
+    const RowId src_row = s << shift;
+    switch (base_.type()) {
+      case storage::DataType::kInt32:
+      case storage::DataType::kString:
+        dst.AppendInt32(src.GetInt32(src_row));
+        break;
+      case storage::DataType::kInt64:
+        dst.AppendInt64(src.GetInt64(src_row));
+        break;
+      case storage::DataType::kFloat:
+        dst.AppendFloat(src.GetFloat(src_row));
+        break;
+      case storage::DataType::kDouble:
+        dst.AppendDouble(src.GetDouble(src_row));
+        break;
     }
-    Column& dst = levels_[static_cast<std::size_t>(l - 1)];
-    const std::int64_t rows = LevelRows(l);
-    dst.Reserve(rows);
-    // One read path for every source tier: a paged base strides over
-    // pinned blocks (the cursor keeps the block under the read pinned,
-    // so a stride smaller than a block re-pins nothing and the build
-    // streams through the cache); in-memory parents and raw bases wrap
-    // in zero-copy cursors.
-    storage::PagedColumnCursor src =
-        (l - 1 == 0)
-            ? (base_is_paged() ? storage::PagedColumnCursor(paged_base_)
-                               : storage::PagedColumnCursor(base_))
-            : storage::PagedColumnCursor(
-                  levels_[static_cast<std::size_t>(l - 2)].View());
-    const std::int64_t src_stride = (l - 1 == 0) ? LevelStride(l) : 2;
-    for (std::int64_t s = 0; s < rows; ++s) {
-      const RowId src_row = s * src_stride;
-      switch (base_.type()) {
-        case storage::DataType::kInt32:
-        case storage::DataType::kString:
-          dst.AppendInt32(src.GetInt32(src_row));
-          break;
-        case storage::DataType::kInt64:
-          dst.AppendInt64(src.GetInt64(src_row));
-          break;
-        case storage::DataType::kFloat:
-          dst.AppendFloat(src.GetFloat(src_row));
-          break;
-        case storage::DataType::kDouble:
-          dst.AppendDouble(src.GetDouble(src_row));
-          break;
-      }
-    }
-    materialized_[static_cast<std::size_t>(l - 1)] = true;
   }
+  built_[static_cast<std::size_t>(level)].store(true,
+                                                std::memory_order_release);
 }
 
 ColumnView SampleHierarchy::LevelView(int level) {
@@ -152,12 +167,17 @@ RowId SampleHierarchy::FromBaseRow(int level, RowId base_row) const {
 
 std::size_t SampleHierarchy::sample_bytes() const {
   std::size_t total = 0;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (materialized_[i]) {
-      total += levels_[i].raw_size();
+  for (int l = 1; l < num_levels_; ++l) {
+    if (IsMaterialized(l)) {
+      total += levels_[static_cast<std::size_t>(l - 1)].raw_size();
     }
   }
   return total;
+}
+
+std::shared_ptr<storage::PagedColumnSource> SampleHierarchy::base_source() {
+  const std::lock_guard<std::mutex> lock(build_mu_);
+  return reads_;
 }
 
 void SampleHierarchy::RebindBase(
@@ -165,17 +185,18 @@ void SampleHierarchy::RebindBase(
   DBTOUCH_CHECK(base != nullptr);
   DBTOUCH_CHECK(base->type() == base_.type());
   DBTOUCH_CHECK(base->row_count() == base_.row_count());
-  // Copy every level out of the raw base while it is still addressable —
-  // "hierarchies already copy their sample levels"; the rebind just
-  // finishes the job for levels a lazy hierarchy had not built yet.
-  for (int l = 1; l < num_levels_; ++l) {
-    EnsureLevel(l);
+  const std::lock_guard<std::mutex> lock(build_mu_);
+  // Copy the levels touches read out of the raw base while it is still
+  // resident; the finer ones stay unbuilt, and their first use strides
+  // the paged base through the pool.
+  for (int l = eager_floor_; l < num_levels_; ++l) {
+    BuildLocked(l);
   }
   // base_ keeps its (now stale) data pointer but is never dereferenced
-  // again: LevelView(0) CHECKs base_is_paged, and with every level
-  // materialised EnsureLevel never reads the base. Leaving the view
-  // untouched means concurrent readers of its metadata (row counts,
-  // type, dictionary) race with nothing.
+  // again: LevelView(0) CHECKs base_is_paged, and builds read reads_.
+  // Leaving the view untouched means concurrent readers of its metadata
+  // (row counts, type, dictionary) race with nothing.
+  reads_ = base;
   paged_base_ = std::move(base);
 }
 

@@ -40,7 +40,8 @@ TouchServer::TouchServer(const TouchServerConfig& config)
     : config_(config),
       shared_(std::make_shared<core::SharedState>(
           config.session_defaults.sampling, /*force_eager=*/true,
-          ServerBufferConfig(config))),
+          ServerBufferConfig(config),
+          core::LevelReachOf(config.session_defaults))),
       sessions_(shared_) {
   if (config_.enable_tracing) {
     trace_ = std::make_unique<obs::TraceRecorder>(config_.trace);

@@ -1,6 +1,6 @@
 #include "storage/column.h"
 
-#include "common/macros.h"
+#include <algorithm>
 
 namespace dbtouch::storage {
 
@@ -41,48 +41,38 @@ Column::Column(std::string name, DataType type)
 Column Column::FromInt32(std::string name,
                          const std::vector<std::int32_t>& v) {
   Column c(std::move(name), DataType::kInt32);
-  c.Reserve(static_cast<std::int64_t>(v.size()));
-  for (const auto x : v) {
-    c.AppendInt32(x);
-  }
+  c.AppendBulk(v.data(), v.size());
   return c;
 }
 
 Column Column::FromInt64(std::string name,
                          const std::vector<std::int64_t>& v) {
   Column c(std::move(name), DataType::kInt64);
-  c.Reserve(static_cast<std::int64_t>(v.size()));
-  for (const auto x : v) {
-    c.AppendInt64(x);
-  }
+  c.AppendBulk(v.data(), v.size());
   return c;
 }
 
 Column Column::FromDouble(std::string name, const std::vector<double>& v) {
   Column c(std::move(name), DataType::kDouble);
-  c.Reserve(static_cast<std::int64_t>(v.size()));
-  for (const auto x : v) {
-    c.AppendDouble(x);
-  }
+  c.AppendBulk(v.data(), v.size());
   return c;
 }
 
 Column Column::FromFloat(std::string name, const std::vector<float>& v) {
   Column c(std::move(name), DataType::kFloat);
-  c.Reserve(static_cast<std::int64_t>(v.size()));
-  for (const auto x : v) {
-    c.AppendFloat(x);
-  }
+  c.AppendBulk(v.data(), v.size());
   return c;
 }
 
 Column Column::FromStrings(std::string name,
                            const std::vector<std::string>& v) {
   Column c(std::move(name), DataType::kString);
-  c.Reserve(static_cast<std::int64_t>(v.size()));
+  std::vector<std::int32_t> codes;
+  codes.reserve(v.size());
   for (const auto& s : v) {
-    c.AppendString(s);
+    codes.push_back(c.dictionary_->Intern(s));
   }
+  c.AppendBulk(codes.data(), codes.size());
   return c;
 }
 
@@ -117,11 +107,14 @@ void Column::AppendValue(const Value& v) {
   }
 }
 
-void Column::AppendRaw(const void* src, std::size_t n) {
-  DBTOUCH_CHECK(n == width_);
-  const std::size_t old = data_.size();
-  data_.resize(old + n);
-  std::memcpy(data_.data() + old, src, n);
+void Column::Grow(std::size_t bytes) {
+  data_.reserve(std::max(bytes, 2 * data_.capacity()));
+  tracked_.Update(data_.capacity());
+}
+
+void Column::AppendBulk(const void* src, std::size_t rows) {
+  const auto* bytes = static_cast<const std::byte*>(src);
+  data_.insert(data_.end(), bytes, bytes + rows * width_);
   tracked_.Update(data_.capacity());
 }
 

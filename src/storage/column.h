@@ -17,6 +17,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/macros.h"
 #include "storage/dictionary.h"
 #include "storage/memory_tracker.h"
 #include "storage/types.h"
@@ -165,7 +166,20 @@ class Column {
   std::size_t raw_size() const { return data_.size(); }
 
  private:
-  void AppendRaw(const void* src, std::size_t n);
+  /// Appends one value of `n` (== width) bytes. Inline: generators and
+  /// level builds call it once per value; only growth leaves the header.
+  void AppendRaw(const void* src, std::size_t n) {
+    DBTOUCH_CHECK(n == width_);
+    if (data_.size() + n > data_.capacity()) {
+      Grow(data_.size() + n);
+    }
+    const auto* bytes = static_cast<const std::byte*>(src);
+    data_.insert(data_.end(), bytes, bytes + n);
+  }
+  /// Appends `rows` packed values in one copy, one tracker report.
+  void AppendBulk(const void* src, std::size_t rows);
+  /// Reserves room for at least `bytes` (geometrically) and reports it.
+  void Grow(std::size_t bytes);
 
   std::string name_;
   DataType type_;

@@ -129,7 +129,7 @@ Result<std::shared_ptr<Table>> LoadCsv(const std::string& text,
     const std::size_t arity =
         SplitRecord(lines[0], options.delimiter).size();
     for (std::size_t c = 0; c < arity; ++c) {
-      names.push_back("c" + std::to_string(c));
+      names.push_back(std::to_string(c).insert(0, 1, 'c'));
     }
   }
   const std::size_t arity = names.size();
@@ -182,7 +182,7 @@ Result<std::shared_ptr<Table>> LoadCsv(const std::string& text,
                 "line " + std::to_string(i + 1) + ", column '" + names[c] +
                 "': '" + fields[c] + "' is not an integer");
           }
-          row.push_back(Value(v));
+          row.emplace_back(v);
           break;
         }
         case DataType::kDouble: {
@@ -192,11 +192,11 @@ Result<std::shared_ptr<Table>> LoadCsv(const std::string& text,
                 "line " + std::to_string(i + 1) + ", column '" + names[c] +
                 "': '" + fields[c] + "' is not numeric");
           }
-          row.push_back(Value(v));
+          row.emplace_back(v);
           break;
         }
         default:
-          row.push_back(Value(fields[c]));
+          row.emplace_back(fields[c]);
           break;
       }
     }

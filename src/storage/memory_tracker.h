@@ -8,9 +8,12 @@
 // The point of the seam is the spill tier: after
 // core::SharedState::SpillTable releases a spilled table's matrix, the
 // tracked matrix bytes for that table drop to ~0 and the BufferManager's
-// byte budget becomes the only bound on base-data residency. Without the
-// tracker that claim is unfalsifiable; with it, CI asserts it
-// (tests/reclaim_test.cc, bench_cache's ABL-CACHE-RECLAIM report).
+// byte budget becomes the only bound on base-data residency. What stays
+// in column_bytes is the sample levels the level policy can reach —
+// about twice the finest such level, KBs per column — not a copy of the
+// column. Without the tracker those claims are unfalsifiable; with it,
+// CI asserts them (tests/reclaim_test.cc, bench_cache's
+// ABL-CACHE-RECLAIM report).
 //
 // Thread-safety: counters are relaxed atomics — buffers grow and free on
 // whatever thread owns them; readers want a cheap, monotonic-enough

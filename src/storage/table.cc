@@ -142,8 +142,8 @@ Status Table::AppendRow(const std::vector<Value>& row) {
         return Status::InvalidArgument("field " + std::to_string(c) +
                                        " expects a string value");
       }
-      encoded.push_back(Value(static_cast<std::int64_t>(
-          dictionaries_[c]->Intern(row[c].AsString()))));
+      encoded.emplace_back(static_cast<std::int64_t>(
+          dictionaries_[c]->Intern(row[c].AsString())));
     } else if (row[c].is_string()) {
       return Status::InvalidArgument("field " + std::to_string(c) +
                                      " is numeric but got a string");

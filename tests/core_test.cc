@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/kernel.h"
 #include "sim/motion_profile.h"
@@ -615,6 +617,169 @@ TEST(KernelBudgetTest, MaxRowsPerTouchBoundsSummaryWork) {
   // No touch scanned more than the budget.
   EXPECT_LE(stats.rows_scanned / stats.entries_returned,
             config.max_rows_per_touch);
+}
+
+// ---- Level reach: levels built on first use answer like eager ones --------
+
+/// Every field of every result that carries data, one string per item.
+std::vector<std::string> Answers(Kernel& kernel) {
+  std::vector<std::string> out;
+  for (const ResultItem& item : kernel.results().items()) {
+    out.push_back(std::to_string(item.object) + ":" +
+                  ResultKindName(item.kind) + "@" + std::to_string(item.row) +
+                  "=" + item.value.ToString() + "[" +
+                  std::to_string(item.band_first) + "," +
+                  std::to_string(item.band_last) + "]#" +
+                  std::to_string(item.rows_aggregated) +
+                  (item.approximate ? "~" : ""));
+  }
+  return out;
+}
+
+/// Summary slides (slow and fast), taps and a scan slide over a short
+/// (1 cm), a zoom-clamp-tall (25 cm) and an over-tall (60 cm) object.
+/// Returns the answers and the level each summary slide ended on.
+std::pair<std::vector<std::string>, std::vector<int>> ExploreZoomRange(
+    const std::shared_ptr<SharedState>& shared) {
+  const KernelConfig config;
+  Kernel kernel(config, shared);
+  TraceBuilder builder(kernel.device());
+  const std::vector<RectCm> frames = {RectCm{1.0, 5.0, 2.0, 1.0},
+                                      RectCm{5.0, 0.0, 2.0, 25.0},
+                                      RectCm{9.0, 0.0, 2.0, 60.0}};
+  std::vector<int> levels;
+  sim::Micros t = 0;
+  for (const RectCm& frame : frames) {
+    const auto id = kernel.CreateColumnObject("t", "v", frame);
+    EXPECT_TRUE(id.ok()) << id.status();
+    const double x = frame.x + 1.0;
+    const double top = frame.y + 0.1;
+    const double bottom = std::min(frame.y + frame.height, 14.0) - 0.1;
+    EXPECT_TRUE(kernel.SetAction(*id, ActionConfig::Summary(8)).ok());
+    // Slow: under one position per event, the policy's finest choice.
+    // Fast: the whole extent in 0.2 s, many positions per event.
+    for (const auto& [to, seconds] :
+         {std::pair{std::min(top + 0.8, bottom), 4.0},
+          std::pair{bottom, 0.2}}) {
+      kernel.Replay(builder.Slide("summary", PointCm{x, top}, PointCm{x, to},
+                                  MotionProfile::Constant(seconds), t));
+      levels.push_back((*kernel.object_stats(*id))->last_level_used);
+      t += 5'000'000;
+    }
+    EXPECT_TRUE(kernel.SetAction(*id, ActionConfig::Scan()).ok());
+    kernel.Replay(builder.Tap("tap", PointCm{x, (top + bottom) / 2.0}, 0.05,
+                              t));
+    t += 1'000'000;
+    kernel.Replay(builder.Slide("scan", PointCm{x, bottom}, PointCm{x, top},
+                                MotionProfile::Constant(1.0), t));
+    t += 2'000'000;
+  }
+  EXPECT_EQ(kernel.stats().fetch_errors, 0);
+  return {Answers(kernel), levels};
+}
+
+TEST(LevelReachTest, LazyLevelsAnswerBitIdenticallyAcrossTheZoomRange) {
+  // The server-style state builds only the levels a 25 cm object can
+  // select; the reference state builds every level. The 60 cm object's
+  // slow slide selects a level below that floor, built on first use.
+  constexpr std::int64_t kBigRows = 1 << 20;
+  std::vector<Column> cols;
+  cols.push_back(storage::GenGaussianDouble("v", kBigRows, 10.0, 3.0, 11));
+  const std::shared_ptr<Table> table =
+      *Table::FromColumns("t", std::move(cols));
+  const KernelConfig config;
+  auto reach = std::make_shared<SharedState>(
+      config.sampling, /*force_eager=*/true, config.buffer,
+      LevelReachOf(config));
+  auto every = std::make_shared<SharedState>(
+      config.sampling, /*force_eager=*/true, config.buffer,
+      sampling::LevelReach{});
+  ASSERT_TRUE(reach->RegisterTable(table).ok());
+  ASSERT_TRUE(every->RegisterTable(table).ok());
+  const auto hierarchy = reach->GetOrBuildHierarchy("t", 0);
+  ASSERT_TRUE(hierarchy.ok());
+  const int floor = (*hierarchy)->eager_floor();
+  ASSERT_GT(floor, 2);
+  EXPECT_FALSE((*hierarchy)->IsMaterialized(floor - 1));
+  EXPECT_TRUE((*hierarchy)->IsMaterialized(floor));
+
+  const auto reference = ExploreZoomRange(every);
+  const auto lazy = ExploreZoomRange(reach);
+  ASSERT_GT(reference.first.size(), 100u);
+  EXPECT_EQ(lazy.first, reference.first);
+  EXPECT_EQ(lazy.second, reference.second);
+  // The over-tall object's slow slide read below the floor; only that
+  // level was added. Fast slides stay at or above the floor.
+  ASSERT_EQ(lazy.second.size(), 6u);
+  EXPECT_GE(lazy.second[1], floor);
+  EXPECT_EQ(lazy.second[2], floor);  // The floor is what 25 cm reaches.
+  EXPECT_GE(lazy.second[3], floor);
+  EXPECT_GE(lazy.second[5], floor);
+  const int below = lazy.second[4];
+  EXPECT_LT(below, floor);
+  EXPECT_GT(below, 0);
+  EXPECT_TRUE((*hierarchy)->IsMaterialized(below));
+  EXPECT_FALSE((*hierarchy)->IsMaterialized(1));
+  EXPECT_LT(reach->sample_bytes() * 4, every->sample_bytes());
+}
+
+TEST(LevelReachTest, LevelAndZoneMapBuildsAfterRotationReadTheNewLayout) {
+  // A layout rotation replaces the matrix the hierarchy was first built
+  // over; a level or a base zone map built afterwards must read the
+  // current matrix, not the freed one (ASan CI turns a stale read into a
+  // failure).
+  const auto run = [](bool rotate) {
+    Kernel kernel;
+    std::vector<Column> cols;
+    cols.push_back(storage::GenSequenceInt64("v", 10'000, 0, 1));
+    cols.push_back(storage::GenUniformInt32("w", 10'000, 0, 9, 3));
+    EXPECT_TRUE(
+        kernel.RegisterTable(*Table::FromColumns("t", std::move(cols)))
+            .ok());
+    TraceBuilder builder(kernel.device());
+    const auto column =
+        kernel.CreateColumnObject("t", "v", RectCm{1.0, 1.0, 2.0, 10.0});
+    const auto table =
+        kernel.CreateTableObject("t", RectCm{6.0, 1.0, 6.0, 10.0});
+    EXPECT_TRUE(column.ok() && table.ok());
+    if (rotate) {
+      kernel.Replay(builder.TwoFingerRotate("rot", PointCm{9.0, 6.0}, 2.0,
+                                            0.0, M_PI / 2.0, 1.0));
+      while (*kernel.rotation_in_progress(*table)) {
+        kernel.PumpMaintenance();
+      }
+      EXPECT_EQ(kernel.stats().layout_rotations, 1);
+    }
+    const auto tall =
+        kernel.CreateColumnObject("t", "v", RectCm{14.0, 0.0, 2.0, 60.0});
+    EXPECT_TRUE(tall.ok());
+    EXPECT_TRUE(kernel.SetAction(*tall, ActionConfig::Summary(8)).ok());
+    const std::size_t from = kernel.results().items().size();
+    kernel.Replay(builder.Slide("summary", PointCm{15.0, 1.0},
+                                PointCm{15.0, 1.8},
+                                MotionProfile::Constant(4.0), 10'000'000));
+    // The slide read a level below the floor the column object had built.
+    const auto hierarchy = kernel.shared_state()->GetOrBuildHierarchy("t", 0);
+    const int level = (*kernel.object_stats(*tall))->last_level_used;
+    EXPECT_GT(level, 0);
+    EXPECT_LT(level, (*hierarchy)->eager_floor());
+    EXPECT_TRUE(kernel
+                    .SetAction(*column,
+                               ActionConfig::Filter(
+                                   exec::Predicate(5'000.0, 9'000.0),
+                                   /*use_zone_map=*/true))
+                    .ok());
+    kernel.Replay(builder.Slide("filter", PointCm{2.0, 1.0},
+                                PointCm{2.0, 11.0},
+                                MotionProfile::Constant(1.0), 20'000'000));
+    EXPECT_GT(kernel.stats().rows_pruned, 0);
+    std::vector<std::string> out = Answers(kernel);
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(from));
+    return out;
+  };
+  const auto resident = run(/*rotate=*/false);
+  ASSERT_GT(resident.size(), 10u);
+  EXPECT_EQ(run(/*rotate=*/true), resident);
 }
 
 }  // namespace

@@ -22,7 +22,9 @@
 #include "core/kernel.h"
 #include "core/shared_state.h"
 #include "index/zone_map.h"
+#include "sampling/level_policy.h"
 #include "sim/motion_profile.h"
+#include "sim/touch_device.h"
 #include "sim/trace_builder.h"
 #include "storage/csv_loader.h"
 #include "storage/datagen.h"
@@ -219,6 +221,101 @@ TEST(ReclaimTest, PreBuiltHierarchyIsRebondAndServesSampledSummaries) {
   for (RowId s = 0; s < level1.row_count(); s += 53) {
     EXPECT_EQ(level1.GetInt64(s), s * 2);
   }
+}
+
+// ---- Only the reachable levels stay in RAM ---------------------------------
+
+TEST(ReclaimTest, ServerHierarchyHoldsOnlyReachableLevelsThroughReclaim) {
+  // No object is taller than the zoom clamp, so the level policy never
+  // selects below the level a 25 cm object selects: the shared hierarchy
+  // holds that level and the coarser ones — about twice the floor level's
+  // bytes — not the half-a-column level 1 and its successors. After a
+  // reclaim, those bytes are all the table keeps in standalone columns.
+  ScratchDir dir;
+  const std::int64_t rows = 1 << 20;
+  auto shared = MakeShared(4'096);
+  auto table = MixedTable("big", rows);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  const std::int64_t columns_before =
+      MemoryTracker::Instance().column_bytes();
+  const auto hierarchy = shared->GetOrBuildHierarchy("big", 0);
+  ASSERT_TRUE(hierarchy.ok());
+  const KernelConfig defaults;
+  const std::int64_t max_positions =
+      sim::TouchDevice(defaults.device)
+          .DistinctPositions(defaults.zoom_max_extent_cm);
+  const int floor = std::max(
+      1, sampling::ChooseLevel(rows, max_positions, 1.0,
+                               (*hierarchy)->num_levels(),
+                               defaults.level_policy));
+  ASSERT_GT(floor, 1);
+  const std::size_t width = sizeof(std::int64_t);
+  const std::size_t floor_rows =
+      static_cast<std::size_t>((rows + (std::int64_t{1} << floor) - 1) >>
+                               floor);
+  const std::size_t bound =
+      2 * floor_rows * width +
+      static_cast<std::size_t>((*hierarchy)->num_levels()) * width;
+  EXPECT_LE((*hierarchy)->sample_bytes(), bound);
+  EXPECT_GE((*hierarchy)->sample_bytes(), floor_rows * width);
+
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 4'096});
+  ASSERT_TRUE(
+      shared->SpillTablePax("big", spiller, /*reclaim_raw=*/true).ok());
+  EXPECT_TRUE(table->raw_released());
+  EXPECT_LE((*hierarchy)->sample_bytes(), bound);
+  EXPECT_LE(MemoryTracker::Instance().column_bytes() - columns_before,
+            static_cast<std::int64_t>(bound));
+}
+
+TEST(ReclaimTest, ConcurrentLazyBuildsOverPagedBaseBuildOnce) {
+  // Several sessions' touches need the same level below the floor at
+  // once, after the matrix is gone: one build strides the paged base,
+  // every reader sees its bytes, and the level is paid for once.
+  ScratchDir dir;
+  const std::int64_t rows = 1 << 16;
+  auto shared = MakeShared(1'024);
+  auto table = MixedTable("lazy", rows);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  const auto hierarchy = shared->GetOrBuildHierarchy("lazy", 0);
+  ASSERT_TRUE(hierarchy.ok());
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
+  ASSERT_TRUE(
+      shared->SpillTablePax("lazy", spiller, /*reclaim_raw=*/true).ok());
+  ASSERT_TRUE((*hierarchy)->base_is_paged());
+  const int level = 2;
+  ASSERT_LT(level, (*hierarchy)->eager_floor());
+  ASSERT_FALSE((*hierarchy)->IsMaterialized(level));
+  const std::size_t bytes_before = (*hierarchy)->sample_bytes();
+
+  constexpr int kThreads = 4;
+  std::vector<const std::byte*> data(kThreads, nullptr);
+  std::vector<std::int64_t> mismatches(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      const storage::ColumnView view = (*hierarchy)->LevelView(level);
+      data[static_cast<std::size_t>(t)] = view.data();
+      for (RowId s = 0; s < view.row_count(); ++s) {
+        if (view.GetInt64(s) != s << level) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+    EXPECT_EQ(data[static_cast<std::size_t>(t)], data[0]) << "thread " << t;
+  }
+  EXPECT_TRUE((*hierarchy)->IsMaterialized(level));
+  EXPECT_EQ((*hierarchy)->sample_bytes(),
+            bytes_before +
+                static_cast<std::size_t>((*hierarchy)->LevelRows(level)) *
+                    sizeof(std::int64_t));
+  EXPECT_FALSE((*hierarchy)->IsMaterialized(1));
 }
 
 // ---- Spill racing an active raw reader -------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "sampling/level_policy.h"
 #include "sampling/sample_hierarchy.h"
@@ -87,13 +89,64 @@ TEST(SampleHierarchyTest, LazyMaterialization) {
   EXPECT_EQ(h.sample_bytes(), 0u);
   h.EnsureLevel(2);
   EXPECT_TRUE(h.IsMaterialized(2));
-  // Building level 2 materialises the chain below it.
-  EXPECT_TRUE(h.IsMaterialized(1));
-  EXPECT_GT(h.sample_bytes(), 0u);
+  // Only the requested level is built (it strides the base directly); the
+  // finer level 1 would cost half the base for no touch that asked.
+  EXPECT_FALSE(h.IsMaterialized(1));
+  EXPECT_EQ(h.sample_bytes(),
+            static_cast<std::size_t>(h.LevelRows(2)) * sizeof(std::int32_t));
   // Reading a view materialises on demand.
   const int top = h.num_levels() - 1;
   EXPECT_EQ(h.LevelView(top).GetInt32(1), h.LevelStride(top));
   EXPECT_TRUE(h.IsMaterialized(top));
+}
+
+TEST(SampleHierarchyTest, ConcurrentLazyReadsBuildEveryLevelOnce) {
+  // Readers walk the levels in opposite orders, so builds from the base
+  // and builds halving a just-published level race each other.
+  const Column base = MakeSequential(1 << 16);
+  SampleHierarchyConfig config;
+  config.eager = false;
+  SampleHierarchy h(base.View(), config);
+  std::vector<std::int64_t> mismatches(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    readers.emplace_back([&h, &mismatches, t] {
+      for (int i = 1; i < h.num_levels(); ++i) {
+        const int l = t % 2 == 0 ? i : h.num_levels() - i;
+        const ColumnView level = h.LevelView(l);
+        for (RowId s = 0; s < level.row_count(); ++s) {
+          if (level.GetInt32(s) != s << l) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  std::size_t bytes = 0;
+  for (int l = 1; l < h.num_levels(); ++l) {
+    bytes += static_cast<std::size_t>(h.LevelRows(l)) * sizeof(std::int32_t);
+  }
+  EXPECT_EQ(h.sample_bytes(), bytes);
+  EXPECT_EQ(mismatches, std::vector<std::int64_t>(4, 0));
+}
+
+TEST(SampleHierarchyTest, ReachLeavesFineLevelsToFirstUse) {
+  const Column base = MakeSequential(1 << 16);
+  // 65536 rows over at most 1301 positions: ~50 rows apart, level 5.
+  const SampleHierarchy reach(base.View(), {},
+                              LevelReach{.max_positions = 1301});
+  EXPECT_EQ(reach.eager_floor(), 5);
+  EXPECT_FALSE(reach.IsMaterialized(4));
+  EXPECT_TRUE(reach.IsMaterialized(5));
+  EXPECT_TRUE(reach.IsMaterialized(reach.num_levels() - 1));
+  // Without a reach every level is eager, as before.
+  const SampleHierarchy every(base.View());
+  EXPECT_EQ(every.eager_floor(), 1);
+  EXPECT_TRUE(every.IsMaterialized(1));
+  EXPECT_LT(reach.sample_bytes() * 8, every.sample_bytes());
 }
 
 TEST(SampleHierarchyTest, SampleBytesGeometricBound) {
@@ -147,6 +200,25 @@ TEST(LevelPolicyTest, SpeedWeightZeroDisablesCoarsening) {
   const int slow = ChooseLevel(10'000'000, 520, 1.0, 20, config);
   const int fast = ChooseLevel(10'000'000, 520, 8.0, 20, config);
   EXPECT_EQ(fast, slow);
+}
+
+TEST(LevelPolicyTest, FinestReachableLevelBoundsEverySpeedAndShed) {
+  LevelPolicyConfig config;
+  const int floor = FinestReachableLevel(10'000'000, 1301, 20, config);
+  EXPECT_EQ(floor, ChooseLevel(10'000'000, 1301, 1.0, 20, config));
+  for (const std::int64_t positions : {52, 520, 1301}) {
+    for (const double speed : {1.0, 2.5, 40.0}) {
+      for (const int shed : {0, 1, 3}) {
+        config.shed_levels = shed;
+        EXPECT_GE(ChooseLevel(10'000'000, positions, speed, 20, config),
+                  floor);
+      }
+    }
+  }
+  // Shedding never lowers the bound it is computed without.
+  config.shed_levels = 3;
+  EXPECT_EQ(FinestReachableLevel(10'000'000, 1301, 20, config), floor);
+  EXPECT_EQ(FinestReachableLevel(10'000'000, 0, 20, config), 0);
 }
 
 TEST(LevelPolicyTest, DegenerateInputsReturnBase) {
