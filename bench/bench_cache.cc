@@ -402,6 +402,8 @@ void ReclaimReport(dbtouch::bench::BenchReport& perf) {
   report.Row({"matrix after reclaim", mb(after_reclaim)});
   report.Row({"pool budget", mb(buffer.budget_bytes)});
   report.Row({"pool peak resident", mb(stats.peak_resident_bytes)});
+  report.Row({"pool frames mapped", mb(stats.frame_bytes)});
+  report.Row({"pool frames peak", mb(stats.peak_frame_bytes)});
 
   const bool reclaimed_ok = ok && table->raw_released() &&
                             after_reclaim <= loaded / 10 &&
@@ -416,6 +418,10 @@ void ReclaimReport(dbtouch::bench::BenchReport& perf) {
                   ? static_cast<double>(stats.peak_resident_bytes) /
                         static_cast<double>(buffer.budget_bytes)
                   : 0.0);
+  // Informational: what the pool's frames actually map (payloads plus
+  // recycled spares, page-rounded), beside the residency gate above.
+  perf.Metric("frame_bytes", stats.frame_bytes);
+  perf.Metric("peak_frame_bytes", stats.peak_frame_bytes);
   std::printf(
       "\nreclamation %s: tracked raw bytes %s the byte budget is the\n"
       "memory ceiling for a table 10x its size.\n\n",

@@ -188,11 +188,18 @@ class SlowTierProvider final : public dbtouch::cache::BlockProvider {
     return inner_.dictionary();
   }
   bool async() const override { return true; }
-  dbtouch::Result<std::vector<std::byte>> Fetch(
-      std::int64_t block) override {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(latency_));
-    return inner_.Fetch(block);
+  /// Block by block, each paying the latency: a ranged read is no
+  /// cheaper per block on this tier.
+  dbtouch::Status ReadBlocks(
+      std::int64_t first_block,
+      std::span<dbtouch::cache::Frame> frames) override {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(latency_));
+      DBTOUCH_RETURN_IF_ERROR(inner_.ReadBlocks(
+          first_block + static_cast<std::int64_t>(i), frames.subspan(i, 1)));
+    }
+    return dbtouch::Status::OK();
   }
 
  private:

@@ -6,20 +6,33 @@
 
 namespace dbtouch::cache {
 
-BlockCache::BlockCache(const Config& config) : config_(config) {
+namespace {
+
+std::int64_t ShardStagedCap(const BlockCache::Config& config) {
+  const std::int64_t staged_cap = config.staged_cap_bytes > 0
+                                      ? config.staged_cap_bytes
+                                      : config.capacity_bytes / 8;
+  return std::max<std::int64_t>(staged_cap / std::max(config.shards, 1), 1);
+}
+
+}  // namespace
+
+BlockCache::BlockCache(const Config& config)
+    : config_(config),
+      // Retained plus staged payloads are what the cache holds between
+      // faults; spares beyond that are unmapped as they are released.
+      frames_(config.capacity_bytes +
+              ShardStagedCap(config) * std::max(config.shards, 1)) {
   DBTOUCH_CHECK(config.capacity_bytes >= 0);
   DBTOUCH_CHECK(config.shards > 0);
   const int shards = config.shards;
   const std::int64_t base = config.capacity_bytes / shards;
   const std::int64_t remainder = config.capacity_bytes % shards;
-  const std::int64_t staged_cap = config.staged_cap_bytes > 0
-                                      ? config.staged_cap_bytes
-                                      : config.capacity_bytes / 8;
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->capacity_bytes = base + (i < remainder ? 1 : 0);
-    shard->staged_cap_bytes = std::max<std::int64_t>(staged_cap / shards, 1);
+    shard->staged_cap_bytes = ShardStagedCap(config);
     shards_.push_back(std::move(shard));
   }
 }
@@ -95,7 +108,7 @@ Result<BlockCache::Pinned> BlockCache::Pin(const BlockKey& key,
   // Miss: materialise under the shard lock (concurrent faults of one
   // block serialise into a single fetch).
   ++shard.stats.faults;
-  DBTOUCH_ASSIGN_OR_RETURN(std::vector<std::byte> payload, fill());
+  DBTOUCH_ASSIGN_OR_RETURN(Frame payload, fill());
   const auto size = static_cast<std::int64_t>(payload.size());
 
   Entry entry;
@@ -152,8 +165,7 @@ std::optional<BlockCache::Pinned> BlockCache::TryPin(const BlockKey& key,
   return PinHitLocked(shard, key, it->second, bypassing);
 }
 
-void BlockCache::Insert(const BlockKey& key, std::vector<std::byte> payload,
-                        bool demand) {
+void BlockCache::Insert(const BlockKey& key, Frame payload, bool demand) {
   Shard& shard = ShardFor(key);
   const std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.map.count(key) > 0) {
@@ -279,6 +291,10 @@ BlockCacheStats BlockCache::stats() const {
     total.resident_bytes += shard->resident_bytes;
     total.peak_resident_bytes += shard->stats.peak_resident_bytes;
   }
+  const FramePoolStats frames = frames_.stats();
+  total.frame_bytes = frames.mapped_bytes;
+  total.peak_frame_bytes = frames.peak_mapped_bytes;
+  total.frame_maps = frames.maps;
   return total;
 }
 

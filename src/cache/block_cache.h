@@ -5,7 +5,11 @@
 //
 // The cache owns block payloads under a byte budget with pin/unpin: a
 // pinned block's bytes stay valid (and the block cannot be evicted) until
-// every pin releases. Retention is LRU with one gesture-derived
+// every pin releases. Payloads live in page-aligned frames from the
+// cache's FramePool (cache/frame.h), which is where the memory bound is
+// held: an evicted or released payload's frame is recycled for the next
+// fault, and the pool keeps at most capacity_bytes + staged cap mapped
+// once frames are released, unmapping the rest. Retention is LRU with one gesture-derived
 // refinement: steady one-directional slides are scans — retaining their
 // blocks just evicts data the user might return to — so admission is
 // bypassed while the gesture is in "scan" mode and re-enabled when the
@@ -38,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/frame.h"
 #include "common/result.h"
 #include "storage/types.h"
 
@@ -98,6 +103,13 @@ struct BlockCacheStats {
   /// simultaneous peak (shards may peak at different times), and always
   /// <= capacity_bytes.
   std::int64_t peak_resident_bytes = 0;
+  /// Frame pool: bytes mapped now (payload frames in use plus recycled
+  /// spares) and its high-water mark — the pool's real memory footprint,
+  /// frames rounded up to whole pages — and frames mapped over the
+  /// cache's lifetime (fills the free list could not serve).
+  std::int64_t frame_bytes = 0;
+  std::int64_t peak_frame_bytes = 0;
+  std::int64_t frame_maps = 0;
 
   double hit_rate() const {
     return lookups == 0 ? 0.0
@@ -130,8 +142,9 @@ class BlockCache {
     std::int64_t staged_cap_bytes = 0;
   };
 
-  /// Produces a block's payload on a miss. Runs under the shard mutex.
-  using Filler = std::function<Result<std::vector<std::byte>>()>;
+  /// Produces a block's payload on a miss, in a frame from frames().
+  /// Runs under the shard mutex.
+  using Filler = std::function<Result<Frame>()>;
 
   /// What Pin hands back; `data` stays valid until the matching Unpin.
   struct Pinned {
@@ -167,8 +180,11 @@ class BlockCache {
   /// touches `demand`-staged blocks — a session is parked on each of
   /// those — only when warm-ups alone cannot make room. A payload already
   /// present (e.g. a racing synchronous fill) is dropped.
-  void Insert(const BlockKey& key, std::vector<std::byte> payload,
-              bool demand = false);
+  void Insert(const BlockKey& key, Frame payload, bool demand = false);
+
+  /// The pool fills and fetches take their frames from. Frames must be
+  /// released before the cache is destroyed.
+  FramePool& frames() { return frames_; }
 
   /// Signals that the gesture paused — interest in the current region, so
   /// admission resumes. The one-argument form resets only that owner's
@@ -197,7 +213,7 @@ class BlockCache {
 
  private:
   struct Entry {
-    std::vector<std::byte> payload;
+    Frame payload;
     int pins = 0;
     bool retained = false;
     /// Unclaimed async completion; mutually exclusive with retained.
@@ -247,6 +263,8 @@ class BlockCache {
   bool UpdateGesture(const BlockKey& key, storage::RowId row);
 
   Config config_;
+  /// Declared before the shards: their entries release frames into it.
+  FramePool frames_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex gesture_mu_;

@@ -1,7 +1,7 @@
 // BlockProvider: the backing-store seam behind the BufferManager. A
-// provider materialises one fixed-size block of a column as densely packed
-// native-width fields; the BufferManager decides which blocks stay
-// resident. Two tiers ship today:
+// provider reads fixed-size blocks of a column, as densely packed
+// native-width fields, into frames the caller hands it (cache/frame.h);
+// the BufferManager decides which blocks stay resident. Tiers:
 //
 //   - TableBlockProvider: copies blocks out of an in-memory base table
 //     (the fast tier — a fault costs one memcpy).
@@ -9,9 +9,8 @@
 //     via level-0 range reads (paper Section 4's slow tier: "the server
 //     may store the base data ... while the touch device may store only
 //     small samples").
-//
-// Later tiers (async fetch, spill-to-disk, NUMA-partitioned replicas) plug
-// in behind the same interface without touching the read path.
+//   - FileBlockProvider (cache/file_block_provider.h): the disk spill
+//     tier.
 
 #ifndef DBTOUCH_CACHE_BLOCK_PROVIDER_H_
 #define DBTOUCH_CACHE_BLOCK_PROVIDER_H_
@@ -21,9 +20,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <vector>
 
+#include "cache/frame.h"
 #include "common/result.h"
 #include "remote/remote_store.h"
 #include "storage/dictionary.h"
@@ -56,12 +56,19 @@ struct BlockGeometry {
     const std::int64_t first = block * rows_per_block;
     return std::min<std::int64_t>(rows_per_block, row_count - first);
   }
+  /// Capacity of the frame one block is read into: a full block, rounded
+  /// up to the frame alignment. A short last block uses the same size, so
+  /// one binding recycles one frame size.
+  std::size_t frame_bytes() const {
+    return AlignUpFrame(static_cast<std::size_t>(rows_per_block) * width());
+  }
 };
 
-/// Shared bounds validation for Fetch/ReadRange implementations: OK iff
-/// [first_block, first_block + count) lies inside the geometry.
-Status CheckBlockRange(const BlockGeometry& geometry,
-                       std::int64_t first_block, std::int64_t count);
+/// Shared argument validation for ReadBlocks implementations: OK iff
+/// `frames` is non-empty, [first_block, first_block + frames.size()) lies
+/// inside the geometry and every frame holds geometry.frame_bytes().
+Status CheckBlockRead(const BlockGeometry& geometry, std::int64_t first_block,
+                      std::span<const Frame> frames);
 
 class BlockProvider {
  public:
@@ -71,26 +78,24 @@ class BlockProvider {
   /// Dictionary to attach to views over fetched blocks (string columns).
   virtual const storage::Dictionary* dictionary() const { return nullptr; }
 
-  /// Materialises block `block` as geometry().BlockRowCount(block) densely
-  /// packed fields of geometry().width() bytes. Must be thread-safe: the
+  /// Reads blocks [first_block, first_block + frames.size()) into
+  /// `frames`, one block per frame: frame i receives block first_block + i
+  /// as geometry().BlockRowCount densely packed fields of
+  /// geometry().width() bytes, and its size() is set to that. Each frame
+  /// must hold geometry().frame_bytes(). One call over N adjacent blocks
+  /// is the batched demand-fetch seam: tiers with per-request cost (disk
+  /// seeks, remote round trips) pay it once. Must be thread-safe: the
   /// BufferManager may fault different blocks concurrently.
   ///
   /// Errors are data, not invariants: a provider over a lossy transport
   /// returns a transient status (Aborted / ResourceExhausted /
   /// DeadlineExceeded) and the fetch path retries with backoff — see
-  /// cache/fetch_queue.h.
-  virtual Result<std::vector<std::byte>> Fetch(std::int64_t block) = 0;
+  /// cache/fetch_queue.h. After an error the frames' contents are
+  /// unspecified.
+  virtual Status ReadBlocks(std::int64_t first_block,
+                            std::span<Frame> frames) = 0;
 
-  /// Materialises blocks [first_block, first_block + count) as one densely
-  /// packed payload (block payloads back to back). This is the batched
-  /// demand-fetch seam: when a cold summary band misses N adjacent blocks,
-  /// the fetch path calls this once instead of Fetch N times, so tiers
-  /// with per-request cost (disk seeks, remote round trips) pay it once.
-  /// The default loops over Fetch — correct for every provider, no faster.
-  virtual Result<std::vector<std::byte>> ReadRange(std::int64_t first_block,
-                                                   std::int64_t count);
-
-  /// True when Fetch is slow enough that callers should suspend on it
+  /// True when reads are slow enough that callers should suspend on them
   /// rather than block a worker (remote / disk tiers). Immediate providers
   /// (in-memory copies) fill synchronously even on the non-blocking path.
   virtual bool async() const { return false; }
@@ -122,7 +127,8 @@ class TableBlockProvider final : public BlockProvider {
   const storage::Dictionary* dictionary() const override {
     return table_->dictionary(column_).get();
   }
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override;
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<Frame> frames) override;
 
  private:
   std::shared_ptr<const storage::Table> table_;
@@ -145,11 +151,10 @@ class RemoteBlockProvider final : public BlockProvider {
   const storage::Dictionary* dictionary() const override {
     return dictionary_;
   }
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override;
   /// One ranged read against the server spanning the blocks' rows — N
   /// adjacent cold blocks cost one round trip instead of N.
-  Result<std::vector<std::byte>> ReadRange(std::int64_t first_block,
-                                           std::int64_t count) override;
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<Frame> frames) override;
   bool async() const override { return true; }
 
   std::int64_t requests() const {
@@ -163,11 +168,6 @@ class RemoteBlockProvider final : public BlockProvider {
   }
 
  private:
-  /// Shared fetch core: reads `count` rows from `first` as one server
-  /// range read and re-encodes the doubles into the declared type.
-  Result<std::vector<std::byte>> FetchRows(storage::RowId first,
-                                           std::int64_t count,
-                                           const std::string& what);
   remote::RemoteServer* server_;  // Not owned.
   /// RemoteServer models one synchronous endpoint and is not itself
   /// thread-safe; faults from concurrent cache shards serialise here.

@@ -75,17 +75,20 @@ class BufferManager::Source : public storage::PagedColumnSource {
     const BlockKey key{owner_, block};
     DBTOUCH_ASSIGN_OR_RETURN(
         const BlockCache::Pinned pinned,
-        manager_->cache_.Pin(key, row_hint, [&] {
+        manager_->cache_.Pin(key, row_hint, [&]() -> Result<Frame> {
           // Inline fill under the shard lock; shares the queue's bounded
           // retry policy so transient backing-store errors stay transient
           // on the blocking path too.
+          Frame frame = manager_->cache_.frames().Acquire(
+              provider_->geometry().frame_bytes());
           std::int64_t retries = 0;
-          auto payload = FetchBlockWithRetry(*provider_, block,
-                                             manager_->config_.fetch,
-                                             &retries);
+          const Status status = ReadBlocksWithRetry(
+              *provider_, block, std::span<Frame>(&frame, 1),
+              manager_->config_.fetch, &retries);
           manager_->sync_retries_.fetch_add(retries,
                                             std::memory_order_relaxed);
-          return payload;
+          DBTOUCH_RETURN_IF_ERROR(status);
+          return frame;
         }));
     return MakePin(block, pinned);
   }
@@ -135,7 +138,7 @@ class BufferManager::Source : public storage::PagedColumnSource {
   /// Batched demand fetch for the blocking read path: materialise the
   /// band's missing stretches with one ranged provider read each,
   /// staging the blocks in the cache so the per-block pins that follow
-  /// all hit. Only slow tiers benefit — an in-memory provider's Fetch is
+  /// all hit. Only slow tiers benefit — an in-memory provider's read is
   /// a memcpy with no per-call round trip to amortise.
   Status Preload(std::int64_t first_block,
                  std::int64_t last_block) override {
@@ -170,7 +173,7 @@ class BufferManager::Source : public storage::PagedColumnSource {
   }
 
   /// Ranged warm-up: each non-resident stretch of the predicted path goes
-  /// to the queue as ONE pre-formed ranged ticket (one ReadRange when it
+  /// to the queue as ONE pre-formed ranged ticket (one ReadBlocks when it
   /// pops), so the extrapolation horizon — not pop-time re-merging or its
   /// max_coalesce_blocks cap — decides the read size.
   std::int64_t RequestPrefetchRange(std::int64_t first_block,
@@ -246,36 +249,29 @@ class BufferManager::Source : public storage::PagedColumnSource {
   }
 
   /// One ranged read (with the shared retry policy) for a missing run,
-  /// split and staged per block. Demand-staged: a gesture is about to pin
-  /// every one of these.
+  /// its frames staged per block. Demand-staged: a gesture is about to
+  /// pin every one of these.
   Status FetchRun(std::int64_t first_block, std::int64_t count) {
+    std::vector<Frame> frames;
+    frames.reserve(static_cast<std::size_t>(count));
+    for (std::int64_t i = 0; i < count; ++i) {
+      frames.push_back(manager_->cache_.frames().Acquire(
+          provider_->geometry().frame_bytes()));
+    }
     std::int64_t retries = 0;
-    Result<std::vector<std::byte>> payload =
-        count == 1 ? FetchBlockWithRetry(*provider_, first_block,
-                                         manager_->config_.fetch, &retries)
-                   : FetchRangeWithRetry(*provider_, first_block, count,
-                                         manager_->config_.fetch, &retries);
+    const Status status = ReadBlocksWithRetry(
+        *provider_, first_block, frames, manager_->config_.fetch, &retries);
     manager_->sync_retries_.fetch_add(retries, std::memory_order_relaxed);
-    DBTOUCH_RETURN_IF_ERROR(payload.status());
+    DBTOUCH_RETURN_IF_ERROR(status);
     if (count > 1) {
       manager_->sync_ranged_reads_.fetch_add(1, std::memory_order_relaxed);
       manager_->sync_ranged_blocks_.fetch_add(count,
                                               std::memory_order_relaxed);
     }
-    const BlockGeometry& geometry = provider_->geometry();
-    std::size_t offset = 0;
-    for (std::int64_t block = first_block; block < first_block + count;
-         ++block) {
-      const std::size_t bytes =
-          static_cast<std::size_t>(geometry.BlockRowCount(block)) *
-          geometry.width();
-      DBTOUCH_CHECK(offset + bytes <= payload->size());
-      manager_->cache_.Insert(
-          BlockKey{owner_, block},
-          std::vector<std::byte>(payload->begin() + offset,
-                                 payload->begin() + offset + bytes),
-          /*demand=*/true);
-      offset += bytes;
+    for (std::int64_t i = 0; i < count; ++i) {
+      manager_->cache_.Insert(BlockKey{owner_, first_block + i},
+                              std::move(frames[static_cast<std::size_t>(i)]),
+                              /*demand=*/true);
     }
     return Status::OK();
   }
@@ -327,13 +323,7 @@ BufferManager::~BufferManager() {
 
 void BufferManager::EnsureFetchQueue() {
   std::call_once(fetch_queue_once_, [this] {
-    fetch_queue_ = std::make_unique<FetchQueue>(
-        config_.fetch, [this](const BlockKey& key,
-                              std::vector<std::byte> payload,
-                              FetchPriority priority) {
-          cache_.Insert(key, std::move(payload),
-                        priority == FetchPriority::kDemand);
-        });
+    fetch_queue_ = std::make_unique<FetchQueue>(config_.fetch, cache_);
     fetch_queue_->set_trace_recorder(
         trace_recorder_.load(std::memory_order_acquire));
     fetch_queue_ptr_.store(fetch_queue_.get(), std::memory_order_release);

@@ -7,6 +7,12 @@
 // core::SharedState hands out their zero-copy Table::PagedColumnAt
 // sources, so the pool never holds a second copy of in-memory data.
 //
+// The memory bound lives in the cache's frames (cache/frame.h): every
+// fault — an inline fill, a Preload run, a FetchQueue fetch — reads
+// straight into recycled page-aligned frames that then move into the
+// cache, so the pool maps about budget_bytes plus the staging pad, not
+// a heap grown by per-fetch payload buffers.
+//
 // One BufferManager serves every session of a SharedState, so concurrent
 // sessions share one bounded memory footprint; per-object access goes
 // through storage::PagedColumnSource handles this class hands out, which

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/macros.h"
 #include "obs/trace_recorder.h"
@@ -29,26 +30,23 @@ bool IsTransientFetchError(const Status& status) {
   }
 }
 
-namespace {
-
-/// Shared retry loop of FetchBlockWithRetry / FetchRangeWithRetry.
-template <typename Fetch>
-Result<std::vector<std::byte>> RetryFetch(const Fetch& fetch,
-                                          const FetchQueueConfig& config,
-                                          std::int64_t* retries_out,
-                                          const std::atomic<bool>* abort) {
+Status ReadBlocksWithRetry(BlockProvider& provider, std::int64_t first_block,
+                           std::span<Frame> frames,
+                           const FetchQueueConfig& config,
+                           std::int64_t* retries_out,
+                           const std::atomic<bool>* abort) {
   int attempt = 0;
   for (;;) {
-    Result<std::vector<std::byte>> payload = fetch();
-    if (payload.ok() || !IsTransientFetchError(payload.status()) ||
+    Status status = provider.ReadBlocks(first_block, frames);
+    if (status.ok() || !IsTransientFetchError(status) ||
         attempt >= config.max_retries) {
-      return payload;
+      return status;
     }
     if (abort != nullptr && abort->load(std::memory_order_acquire)) {
       // Cancelled mid-flight: nobody is waiting for this read any more,
       // so return the attempt's outcome instead of burning the remaining
       // retry budget (and its backoff sleeps) on a dead session.
-      return payload;
+      return status;
     }
     std::this_thread::sleep_for(
         std::chrono::microseconds(config.retry_backoff_us << attempt));
@@ -59,28 +57,9 @@ Result<std::vector<std::byte>> RetryFetch(const Fetch& fetch,
   }
 }
 
-}  // namespace
-
-Result<std::vector<std::byte>> FetchBlockWithRetry(
-    BlockProvider& provider, std::int64_t block,
-    const FetchQueueConfig& config, std::int64_t* retries_out,
-    const std::atomic<bool>* abort) {
-  return RetryFetch([&] { return provider.Fetch(block); }, config,
-                    retries_out, abort);
-}
-
-Result<std::vector<std::byte>> FetchRangeWithRetry(
-    BlockProvider& provider, std::int64_t first_block, std::int64_t count,
-    const FetchQueueConfig& config, std::int64_t* retries_out,
-    const std::atomic<bool>* abort) {
-  return RetryFetch([&] { return provider.ReadRange(first_block, count); },
-                    config, retries_out, abort);
-}
-
-FetchQueue::FetchQueue(const FetchQueueConfig& config, Sink sink)
-    : config_(config), sink_(std::move(sink)) {
+FetchQueue::FetchQueue(const FetchQueueConfig& config, BlockCache& cache)
+    : config_(config), cache_(cache) {
   DBTOUCH_CHECK(config_.num_fetchers > 0);
-  DBTOUCH_CHECK(sink_ != nullptr);
   fetchers_.reserve(static_cast<std::size_t>(config_.num_fetchers));
   for (int i = 0; i < config_.num_fetchers; ++i) {
     fetchers_.emplace_back([this] { FetcherLoop(); });
@@ -274,7 +253,7 @@ std::vector<BlockKey> FetchQueue::GatherRangeLocked(const BlockKey& key) {
   if (head->second.range_count > 1) {
     // A pre-formed ranged ticket: the horizon sized it when it was
     // enqueued, so it is taken whole — no neighbour walk, no
-    // max_coalesce_blocks cap, exactly one ReadRange.
+    // max_coalesce_blocks cap, exactly one ReadBlocks.
     for (std::int64_t block = key.block + 1;
          block < key.block + head->second.range_count; ++block) {
       const BlockKey member{key.owner, block};
@@ -334,16 +313,21 @@ std::vector<BlockKey> FetchQueue::GatherRangeLocked(const BlockKey& key) {
 
 void FetchQueue::SettleFetch(std::unique_lock<std::mutex>& lock,
                              const std::vector<BlockKey>& keys,
-                             Result<std::vector<std::byte>> payload,
+                             const Status& status, std::vector<Frame> frames,
                              std::int64_t retries, std::int64_t wall_us) {
+  if (!status.ok()) {
+    frames.clear();  // Back to the pool before any waiter wakes.
+  }
   lock.lock();
   stats_.retries += retries;
   stats_.fetch_wall_us += wall_us;
   stats_.max_fetch_wall_us = std::max(stats_.max_fetch_wall_us, wall_us);
   const std::int64_t count = static_cast<std::int64_t>(keys.size());
-  if (payload.ok()) {
+  if (status.ok()) {
     stats_.completed += count;
-    stats_.bytes_fetched += static_cast<std::int64_t>(payload->size());
+    for (const Frame& frame : frames) {
+      stats_.bytes_fetched += static_cast<std::int64_t>(frame.size());
+    }
     if (count > 1) {
       ++stats_.ranged_reads;
       stats_.ranged_blocks += count;
@@ -362,61 +346,32 @@ void FetchQueue::SettleFetch(std::unique_lock<std::mutex>& lock,
     stats_.failures += count;
   }
 
-  struct Delivery {
-    BlockKey key;
-    std::vector<std::byte> bytes;
-    FetchPriority priority = FetchPriority::kPrefetch;
-    std::vector<Waiter> waiters;
-  };
-  std::vector<Delivery> deliveries;
-  deliveries.reserve(keys.size());
-  std::size_t offset = 0;
+  // Read each priority only now: a demand enqueue that coalesced while
+  // the fetch was in flight upgraded it, and the insert must carry that
+  // (the cache shelters demand-staged blocks from warm-up churn).
+  std::vector<bool> demand;
+  std::vector<Waiter> waiters;
+  demand.reserve(keys.size());
   for (const BlockKey& key : keys) {
     const auto it = requests_.find(key);
     DBTOUCH_CHECK(it != requests_.end());
-    Delivery delivery;
-    delivery.key = key;
-    // Read the priority only now: a demand enqueue that coalesced while
-    // the fetch was in flight upgraded it, and the delivery must carry
-    // that (the cache shelters demand-staged blocks from warm-up churn).
-    delivery.priority = it->second.priority;
-    delivery.waiters = std::move(it->second.waiters);
-    if (payload.ok() && count == 1) {
-      // Single fetch: the payload is the block, whatever its size (the
-      // cache does not second-guess providers).
-      delivery.bytes = *std::move(payload);
-    } else if (payload.ok()) {
-      // The range payload is the blocks' bytes back to back in block
-      // order; geometry gives each block's slice. ReadRange's contract
-      // (BlockRowCount * width bytes per block) is what makes the split
-      // well-defined.
-      const BlockGeometry& geometry = it->second.provider->geometry();
-      const std::size_t bytes =
-          static_cast<std::size_t>(geometry.BlockRowCount(key.block)) *
-          geometry.width();
-      DBTOUCH_CHECK(offset + bytes <= payload->size());
-      delivery.bytes.assign(payload->begin() + offset,
-                            payload->begin() + offset + bytes);
-      offset += bytes;
-    }
+    demand.push_back(it->second.priority == FetchPriority::kDemand);
+    std::move(it->second.waiters.begin(), it->second.waiters.end(),
+              std::back_inserter(waiters));
     requests_.erase(it);
-    deliveries.push_back(std::move(delivery));
   }
-  const Status status = payload.ok() ? Status::OK() : payload.status();
-  ++active_callbacks_;  // Covers the sink too: WaitIdle implies
+  ++active_callbacks_;  // Covers the inserts too: WaitIdle implies
                         // delivered payloads are in the cache.
   lock.unlock();
-  // Deliver every block before waking any waiter: a waiter that re-probes
+  // Insert every block before waking any waiter: a waiter that re-probes
   // its whole stall on the completion signal must hit all of it.
   if (status.ok()) {
-    for (Delivery& delivery : deliveries) {
-      sink_(delivery.key, std::move(delivery.bytes), delivery.priority);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      cache_.Insert(keys[i], std::move(frames[i]), demand[i]);
     }
   }
-  for (const Delivery& delivery : deliveries) {
-    for (const Waiter& waiter : delivery.waiters) {
-      waiter.done(status);
-    }
+  for (const Waiter& waiter : waiters) {
+    waiter.done(status);
   }
   lock.lock();
   --active_callbacks_;
@@ -464,19 +419,22 @@ void FetchQueue::FetcherLoop() {
       trace->Record(obs::SpanStage::kFetchStarted, 0, trace_owner,
                     first_block, count);
     }
+    std::vector<Frame> frames;
+    frames.reserve(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      frames.push_back(
+          cache_.frames().Acquire(provider->geometry().frame_bytes()));
+    }
     std::int64_t retries = 0;
     const std::int64_t t0 = NowUs();
-    Result<std::vector<std::byte>> payload =
-        count == 1 ? FetchBlockWithRetry(*provider, first_block, config_,
-                                         &retries, abort.get())
-                   : FetchRangeWithRetry(*provider, first_block, count,
-                                         config_, &retries, abort.get());
+    const Status status = ReadBlocksWithRetry(*provider, first_block, frames,
+                                              config_, &retries, abort.get());
     const std::int64_t wall = NowUs() - t0;
     if (trace != nullptr) {
       trace->Record(obs::SpanStage::kFetchDone, 0, trace_owner,
-                    payload.ok() ? 1 : 0, wall);
+                    status.ok() ? 1 : 0, wall);
     }
-    SettleFetch(lock, keys, std::move(payload), retries, wall);
+    SettleFetch(lock, keys, status, std::move(frames), retries, wall);
   }
 }
 

@@ -1,21 +1,23 @@
 // FetchQueue: the asynchronous block-fetch engine behind the BufferManager.
 //
 // PR 2 left one latency cliff on the read path: a cold-tier fault ran the
-// provider's Fetch synchronously under the shard lock, so one slow remote
+// provider's read synchronously under the shard lock, so one slow remote
 // read could stall a worker — and with it every session that worker would
 // otherwise serve. The FetchQueue moves those reads onto a small fetcher
 // thread pool:
 //
 //   TryPinBlock (miss) --> Enqueue(demand) ---+
 //   Prefetcher slide path --> Enqueue(prefetch)+--> fetcher threads
-//                                              |      provider->Fetch
-//                                              |      (bounded retries,
-//                                              |       exponential backoff)
+//                                              |      provider->ReadBlocks
+//                                              |      into the cache's
+//                                              |      frames (bounded
+//                                              |      retries, exponential
+//                                              |      backoff)
 //                                              v
-//                                      deliver(key, payload) --> BlockCache
-//                                      completion callbacks  --> waiters
-//                                                               (scheduler
-//                                                                unparks)
+//                                  Insert(key, frame) --> BlockCache
+//                                  completion callbacks --> waiters
+//                                                           (scheduler
+//                                                            unparks)
 //
 // Priorities: demand fetches (a session is parked on the answer) always
 // pop before prefetch warm-ups (the extrapolated slide path); enqueueing a
@@ -40,6 +42,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -70,7 +73,7 @@ struct FetchQueueConfig {
   std::int64_t retry_backoff_us = 200;
   /// Batched demand fetches: when the popped request has queued
   /// neighbours (same owner, adjacent block indices, not yet in flight),
-  /// up to this many blocks are merged into one provider ReadRange — a
+  /// up to this many blocks are merged into one provider ReadBlocks — a
   /// cold summary band costs one round trip instead of N. <= 1 disables
   /// coalescing.
   int max_coalesce_blocks = 16;
@@ -95,10 +98,10 @@ struct FetchQueueStats {
   /// already running instead of a full retry budget.
   std::int64_t aborted = 0;
   /// Pre-formed ranged warm-up tickets (EnqueueRange runs of >= 2 blocks):
-  /// the extrapolator's horizon expressed as single ReadRange fetches, no
+  /// the extrapolator's horizon expressed as single ReadBlocks calls, no
   /// pop-time re-merging involved.
   std::int64_t prefetch_ranges = 0;
-  /// Coalesced provider calls: ReadRange invocations spanning >= 2
+  /// Coalesced provider calls: ReadBlocks calls spanning >= 2
   /// adjacent blocks, and the blocks they covered. completed counts every
   /// block, so (completed - ranged_blocks + ranged_reads) is the number
   /// of provider round trips actually paid.
@@ -122,39 +125,33 @@ struct FetchQueueStats {
 /// errors (OutOfRange, InvalidArgument, ...) are permanent.
 bool IsTransientFetchError(const Status& status);
 
-/// Fetches `block` from `provider` with the queue's retry policy, inline
-/// on the calling thread — the synchronous fallback path shares one
-/// definition of "retryable read" with the async queue. `retries_out`
-/// (optional) accumulates the retries spent. `abort` (optional) is the
-/// cancellation latch: once it reads true, the loop returns the current
-/// attempt's outcome instead of spending further retries — a cancelled
-/// session's read costs at most one attempt, not one full fetch.
-Result<std::vector<std::byte>> FetchBlockWithRetry(
-    BlockProvider& provider, std::int64_t block,
-    const FetchQueueConfig& config, std::int64_t* retries_out = nullptr,
-    const std::atomic<bool>* abort = nullptr);
-
-/// Ranged sibling of FetchBlockWithRetry: one provider ReadRange over
-/// [first_block, first_block + count) under the same retry policy.
-Result<std::vector<std::byte>> FetchRangeWithRetry(
-    BlockProvider& provider, std::int64_t first_block, std::int64_t count,
-    const FetchQueueConfig& config, std::int64_t* retries_out = nullptr,
-    const std::atomic<bool>* abort = nullptr);
+/// Reads blocks [first_block, first_block + frames.size()) of `provider`
+/// into `frames` (one provider ReadBlocks per attempt) with the queue's
+/// retry policy, inline on the calling thread — the synchronous path
+/// shares one definition of "retryable read" with the async queue.
+/// `retries_out` (optional) accumulates the retries spent. `abort`
+/// (optional) is the cancellation latch: once it reads true, the loop
+/// returns the current attempt's outcome instead of spending further
+/// retries — a cancelled session's read costs at most one attempt, not
+/// one full fetch.
+Status ReadBlocksWithRetry(BlockProvider& provider, std::int64_t first_block,
+                           std::span<Frame> frames,
+                           const FetchQueueConfig& config,
+                           std::int64_t* retries_out = nullptr,
+                           const std::atomic<bool>* abort = nullptr);
 
 class FetchQueue {
  public:
   /// Invoked with the fetch's final status after the payload (if any) was
-  /// delivered to the sink — so a waiter that immediately retries its pin
-  /// is guaranteed to hit.
+  /// inserted into the cache — so a waiter that immediately retries its
+  /// pin is guaranteed to hit.
   using Completion = std::function<void(const Status&)>;
-  /// Receives successfully fetched payloads (the BufferManager's insert
-  /// into its BlockCache) with the priority the fetch was served at, so
-  /// the cache can shelter demand completions — a session is parked on
-  /// those — from warm-up churn. Runs on a fetcher thread.
-  using Sink = std::function<void(
-      const BlockKey&, std::vector<std::byte> payload, FetchPriority)>;
 
-  FetchQueue(const FetchQueueConfig& config, Sink sink);
+  /// Fetchers read into frames of `cache` and Insert what they read there,
+  /// demand-staged when the fetch was served at demand priority (the
+  /// cache shelters those — a session is parked on them — from warm-up
+  /// churn). `cache` must outlive the queue.
+  FetchQueue(const FetchQueueConfig& config, BlockCache& cache);
   ~FetchQueue();
 
   FetchQueue(const FetchQueue&) = delete;
@@ -175,7 +172,7 @@ class FetchQueue {
   /// Enqueues blocks [first_block, first_block + count) of `owner` as
   /// pre-formed ranged warm-up tickets: each run of blocks with no
   /// existing request becomes ONE prefetch ticket whose fetch is a single
-  /// provider ReadRange — the predicted slide path rides one backing read
+  /// provider ReadBlocks — the predicted slide path rides one backing read
   /// sized by the horizon, with no pop-time re-merging (and no
   /// max_coalesce_blocks cap). Blocks already queued or in flight are
   /// skipped (counted as coalesced). A later demand Enqueue for a block
@@ -236,7 +233,7 @@ class FetchQueue {
     FetchPriority priority = FetchPriority::kPrefetch;
     bool in_flight = false;
     /// Pre-formed ranged ticket (EnqueueRange): on the head request, how
-    /// many consecutive blocks [block, block + range_count) one ReadRange
+    /// many consecutive blocks [block, block + range_count) one ReadBlocks
     /// serves. 1 = an ordinary single-block request.
     std::int64_t range_count = 1;
     /// Non-head blocks of a pre-formed ticket: only the head sits in the
@@ -267,16 +264,16 @@ class FetchQueue {
   /// flight for the ticket.
   void DetachFromRangeLocked(const BlockKey& key);
   /// Completes `keys` (all in flight, ascending adjacent blocks) with the
-  /// outcome of one fetch: on success `payload` is split per block and
-  /// delivered through the sink before any waiter runs. Reacquires `lock`
-  /// before returning.
+  /// outcome of one fetch: on success frame i — block keys[i] — is
+  /// inserted into the cache before any waiter runs; on failure the
+  /// frames go back to the pool. Reacquires `lock` before returning.
   void SettleFetch(std::unique_lock<std::mutex>& lock,
-                   const std::vector<BlockKey>& keys,
-                   Result<std::vector<std::byte>> payload,
-                   std::int64_t retries, std::int64_t wall_us);
+                   const std::vector<BlockKey>& keys, const Status& status,
+                   std::vector<Frame> frames, std::int64_t retries,
+                   std::int64_t wall_us);
 
   FetchQueueConfig config_;
-  Sink sink_;
+  BlockCache& cache_;
   std::atomic<obs::TraceRecorder*> trace_{nullptr};
 
   mutable std::mutex mu_;

@@ -1,10 +1,12 @@
 #include "cache/file_block_provider.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
+#include <limits.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -52,6 +54,42 @@ Result<std::int64_t> PreadFully(int fd, std::byte* dst, std::int64_t size,
       break;  // EOF: the file is shorter than the extent table claims.
     }
     done += n;
+  }
+  return done;
+}
+
+/// Full-coverage preadv: loops over short kernel reads, EINTR and the
+/// IOV_MAX cap, advancing through `iov` (which it consumes). Returns bytes
+/// actually read (< the iovecs' total only at EOF).
+Result<std::int64_t> PreadvFully(int fd, std::vector<iovec>& iov,
+                                 std::int64_t offset,
+                                 const std::string& path) {
+  std::int64_t done = 0;
+  std::size_t next = 0;
+  while (next < iov.size()) {
+    const int batch = static_cast<int>(
+        std::min<std::size_t>(iov.size() - next, IOV_MAX));
+    const ssize_t n = ::preadv(fd, iov.data() + next, batch,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return ErrnoStatus("preadv", path, errno);
+    }
+    if (n == 0) {
+      break;  // EOF: the file is shorter than the extent table claims.
+    }
+    done += n;
+    for (auto left = static_cast<std::size_t>(n); left > 0;) {
+      const std::size_t step = std::min(left, iov[next].iov_len);
+      iov[next].iov_base = static_cast<std::byte*>(iov[next].iov_base) + step;
+      iov[next].iov_len -= step;
+      left -= step;
+      if (iov[next].iov_len == 0) {
+        ++next;
+      }
+    }
   }
   return done;
 }
@@ -282,46 +320,6 @@ Status BlockFileWriter::Finish() {
   return Status::OK();
 }
 
-// ---- AlignedBufferPool ------------------------------------------------------
-
-AlignedBufferPool::~AlignedBufferPool() {
-  for (Buffer& buffer : free_) {
-    std::free(buffer.data);
-  }
-}
-
-AlignedBufferPool::Buffer AlignedBufferPool::Acquire(std::size_t bytes) {
-  const std::size_t capacity = static_cast<std::size_t>(
-      AlignUpDirect(static_cast<std::int64_t>(bytes)));
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < free_.size(); ++i) {
-      if (free_[i].capacity >= capacity) {
-        const Buffer buffer = free_[i];
-        free_[i] = free_.back();
-        free_.pop_back();
-        return buffer;
-      }
-    }
-  }
-  void* mem = nullptr;
-  DBTOUCH_CHECK(posix_memalign(&mem,
-                               static_cast<std::size_t>(kDirectIoAlignment),
-                               capacity) == 0);
-  return Buffer{static_cast<std::byte*>(mem), capacity};
-}
-
-void AlignedBufferPool::Release(Buffer buffer) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (free_.size() < kMaxPooled) {
-      free_.push_back(buffer);
-      return;
-    }
-  }
-  std::free(buffer.data);
-}
-
 // ---- FileFaultInjector ------------------------------------------------------
 
 void FileFaultInjector::FailNextReads(int n, Fault fault) {
@@ -485,7 +483,6 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
   provider->pax_layout_ = std::move(pax_layout);
   provider->geometry_ = geometry;
   provider->aligned_extents_ = aligned;
-  provider->file_size_ = static_cast<std::int64_t>(st.st_size);
   provider->extents_.resize(static_cast<std::size_t>(header.num_blocks));
   const Result<std::int64_t> extents_read =
       PreadFully(fd, reinterpret_cast<std::byte*>(provider->extents_.data()),
@@ -500,8 +497,8 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
   // Extents must tile [payload_offset, ...) with the sizes the geometry
   // dictates — plain files contiguously, aligned files with each payload
   // rounded up to the next 4 KiB boundary. That determinism is what lets
-  // ReadRange span adjacent blocks with one read (compacting the gaps for
-  // aligned files).
+  // ReadBlocks span adjacent blocks with one read, each gap no longer
+  // than the slack a frame has past its payload.
   std::int64_t expected_offset = header.payload_offset;
   for (std::int64_t b = 0; b < header.num_blocks; ++b) {
     const BlockExtent& extent =
@@ -521,26 +518,13 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
     expected_offset = extent.offset + extent.bytes;
   }
 
-  if (options.use_mmap) {
-    if (static_cast<off_t>(expected_offset) > st.st_size) {
-      return fail(Status::InvalidArgument("'" + path +
-                                          "' is shorter than its extent "
-                                          "table claims"));
-    }
-    void* map = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map == MAP_FAILED) {
-      return fail(ErrnoStatus("mmap", path, errno));
-    }
-    provider->map_ = map;
-  }
-  if (options.reopen_per_fetch || options.use_mmap) {
+  if (options.reopen_per_fetch) {
     ::close(fd);
     return provider;
   }
   provider->fd_ = fd;
 #ifdef O_DIRECT
-  if (options.use_direct) {
+  if (options.use_direct && aligned) {
     // Swap the validated descriptor for an O_DIRECT one. Filesystems
     // without support (tmpfs) fail this open; keep the buffered fd and
     // report direct_active() = false.
@@ -556,17 +540,19 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
 }
 
 FileBlockProvider::~FileBlockProvider() {
-  if (map_ != nullptr) {
-    ::munmap(map_, static_cast<std::size_t>(file_size_));
-  }
   if (fd_ >= 0) {
     ::close(fd_);
   }
 }
 
-Status FileBlockProvider::ReadAt(std::int64_t offset, std::byte* dst,
-                                 std::int64_t size,
-                                 const std::string& what) {
+Status FileBlockProvider::ReadBlocks(std::int64_t first_block,
+                                     std::span<Frame> frames) {
+  DBTOUCH_RETURN_IF_ERROR(CheckBlockRead(geometry_, first_block, frames));
+  const auto count = static_cast<std::int64_t>(frames.size());
+  const std::string what =
+      count == 1 ? "block " + std::to_string(first_block)
+                 : "blocks " + std::to_string(first_block) + ".." +
+                       std::to_string(first_block + count - 1);
   if (FileFaultInjector* injector =
           injector_.load(std::memory_order_acquire)) {
     switch (injector->Next()) {
@@ -583,40 +569,29 @@ Status FileBlockProvider::ReadAt(std::int64_t offset, std::byte* dst,
                                 what + " from '" + path_ + "'");
     }
   }
-  if (map_ != nullptr) {
-    // Bounds were validated against the mapping at Open; the mapping's
-    // length is fixed, so this cannot fault on a well-formed file.
-    std::memcpy(dst, static_cast<const std::byte*>(map_) + offset,
-                static_cast<std::size_t>(size));
-    return Status::OK();
+  // One iovec per block, each reaching to the next extent's start, so the
+  // iovecs tile the file span and any inter-extent padding lands in the
+  // frame's slack. O_DIRECT widens the last one to the alignment unit too
+  // (extent starts are aligned, so every iovec is); a read cut short by
+  // EOF is fine as long as it covers the payload.
+  const std::size_t first = static_cast<std::size_t>(first_block);
+  std::vector<iovec> iov(frames.size());
+  std::int64_t payload_bytes = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const BlockExtent& extent = extents_[first + i];
+    const std::int64_t span =
+        i + 1 < frames.size()
+            ? extents_[first + i + 1].offset - extent.offset
+            : (direct_active_ ? AlignUpDirect(extent.bytes) : extent.bytes);
+    frames[i].set_size(static_cast<std::size_t>(extent.bytes));
+    iov[i].iov_base = frames[i].data();
+    iov[i].iov_len = static_cast<std::size_t>(span);
+    payload_bytes += extent.bytes;
   }
-  if (direct_active_) {
-    // O_DIRECT needs aligned offset, length and buffer: widen the read to
-    // the enclosing 4 KiB-aligned span, land it in a pooled aligned
-    // buffer, and slice the requested bytes out. A short kernel read at
-    // EOF is fine as long as it still covers the requested span.
-    const std::int64_t aligned_offset =
-        offset & ~(kDirectIoAlignment - 1);
-    const std::int64_t lead = offset - aligned_offset;
-    const std::int64_t span = AlignUpDirect(lead + size);
-    AlignedBufferPool::Buffer buffer =
-        buffer_pool_.Acquire(static_cast<std::size_t>(span));
-    const Result<std::int64_t> read =
-        PreadFully(fd_, buffer.data, span, aligned_offset, path_);
-    if (!read.ok()) {
-      buffer_pool_.Release(buffer);
-      return read.status();
-    }
-    if (*read < lead + size) {
-      buffer_pool_.Release(buffer);
-      return Status::Aborted("short read of " + what + " from '" + path_ +
-                             "': got " + std::to_string(*read) + " of " +
-                             std::to_string(lead + size) + " bytes");
-    }
-    std::memcpy(dst, buffer.data + lead, static_cast<std::size_t>(size));
-    buffer_pool_.Release(buffer);
-    return Status::OK();
-  }
+  const BlockExtent& last = extents_[first + frames.size() - 1];
+  const std::int64_t start = extents_[first].offset;
+  const std::int64_t needed = last.offset + last.bytes - start;
+
   int fd = fd_;
   if (fd < 0) {
     // reopen_per_fetch: surface the file's *current* state — a deleted or
@@ -626,67 +601,18 @@ Status FileBlockProvider::ReadAt(std::int64_t offset, std::byte* dst,
       return ErrnoStatus("open", path_, errno);
     }
   }
-  const Result<std::int64_t> read = PreadFully(fd, dst, size, offset, path_);
+  const Result<std::int64_t> read = PreadvFully(fd, iov, start, path_);
   if (fd != fd_) {
     ::close(fd);
   }
   DBTOUCH_RETURN_IF_ERROR(read.status());
-  if (*read != size) {
-    // The file ended before the extent did (e.g. truncated underneath
+  if (*read < needed) {
+    // The file ended before the extents did (e.g. truncated underneath
     // us). Transient by contract: the spill may still be completing or
     // the file healing; bounded retries decide when to give up.
     return Status::Aborted("short read of " + what + " from '" + path_ +
                            "': got " + std::to_string(*read) + " of " +
-                           std::to_string(size) + " bytes");
-  }
-  return Status::OK();
-}
-
-Result<std::vector<std::byte>> FileBlockProvider::Fetch(std::int64_t block) {
-  if (block < 0 || block >= geometry_.num_blocks()) {
-    return Status::OutOfRange("block " + std::to_string(block) +
-                              " out of range");
-  }
-  const BlockExtent& extent = extents_[static_cast<std::size_t>(block)];
-  std::vector<std::byte> payload(static_cast<std::size_t>(extent.bytes));
-  DBTOUCH_RETURN_IF_ERROR(ReadAt(extent.offset, payload.data(),
-                                 extent.bytes,
-                                 "block " + std::to_string(block)));
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  blocks_read_.fetch_add(1, std::memory_order_relaxed);
-  bytes_read_.fetch_add(extent.bytes, std::memory_order_relaxed);
-  return payload;
-}
-
-Result<std::vector<std::byte>> FileBlockProvider::ReadRange(
-    std::int64_t first_block, std::int64_t count) {
-  DBTOUCH_RETURN_IF_ERROR(CheckBlockRange(geometry_, first_block, count));
-  const BlockExtent& first = extents_[static_cast<std::size_t>(first_block)];
-  const BlockExtent& last =
-      extents_[static_cast<std::size_t>(first_block + count - 1)];
-  const std::int64_t raw = last.offset + last.bytes - first.offset;
-  std::int64_t payload_bytes = 0;
-  for (std::int64_t b = first_block; b < first_block + count; ++b) {
-    payload_bytes += extents_[static_cast<std::size_t>(b)].bytes;
-  }
-  std::vector<std::byte> payload(static_cast<std::size_t>(raw));
-  DBTOUCH_RETURN_IF_ERROR(
-      ReadAt(first.offset, payload.data(), raw,
-             "blocks " + std::to_string(first_block) + ".." +
-                 std::to_string(first_block + count - 1)));
-  if (payload_bytes != raw) {
-    // Aligned-extent files pad between payloads; callers expect the
-    // blocks back to back, so compact the alignment gaps out in place
-    // (left-shifting, so overlapping memmove is safe).
-    std::int64_t out = 0;
-    for (std::int64_t b = first_block; b < first_block + count; ++b) {
-      const BlockExtent& extent = extents_[static_cast<std::size_t>(b)];
-      std::memmove(payload.data() + out,
-                   payload.data() + (extent.offset - first.offset),
-                   static_cast<std::size_t>(extent.bytes));
-      out += extent.bytes;
-    }
-    payload.resize(static_cast<std::size_t>(payload_bytes));
+                           std::to_string(needed) + " bytes");
   }
   reads_.fetch_add(1, std::memory_order_relaxed);
   if (count > 1) {
@@ -694,7 +620,7 @@ Result<std::vector<std::byte>> FileBlockProvider::ReadRange(
   }
   blocks_read_.fetch_add(count, std::memory_order_relaxed);
   bytes_read_.fetch_add(payload_bytes, std::memory_order_relaxed);
-  return payload;
+  return Status::OK();
 }
 
 }  // namespace dbtouch::cache

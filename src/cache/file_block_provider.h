@@ -15,13 +15,15 @@
 //
 // BlockFileWriter streams a column out one block at a time (the spill
 // itself never materialises the whole column), FileBlockProvider faults
-// blocks back in: pread per block by default, a single pread spanning the
-// extents for ranged reads (ReadRange — the batched demand fetch path),
-// or zero-syscall memcpy reads from an optional read-only mmap of the
-// file. The provider is async(): reads suspend quanta instead of blocking
-// workers, exactly like the remote tier.
+// blocks back in: one preadv per read, scattering a run of adjacent
+// extents straight into the caller's frames (cache/frame.h) — a single
+// block and a coalesced cold band take the same path, with no range
+// buffer and no copy. O_DIRECT reads land in the page-aligned frames too,
+// so the buffer pool's frames are the only memory a read touches. The
+// provider is async(): reads suspend quanta instead of blocking workers,
+// exactly like the remote tier.
 //
-// Failure contract (mirrors RemoteBlockProvider): a short pread is a
+// Failure contract (mirrors RemoteBlockProvider): a short read is a
 // transient Status (Aborted) the fetch path retries with backoff; an
 // unopenable file (deleted, permission) is permanent and sheds only the
 // stalled gesture. FileFaultInjector injects both classes
@@ -84,6 +86,8 @@ static_assert(sizeof(BlockFileHeader) == 64, "header layout is part of "
 /// Alignment unit for O_DIRECT I/O and aligned extents: covers the
 /// logical-block size of any common device and the page size.
 inline constexpr std::int64_t kDirectIoAlignment = 4096;
+static_assert(kFrameAlignment % kDirectIoAlignment == 0,
+              "O_DIRECT reads land in frames");
 
 constexpr std::int64_t AlignUpDirect(std::int64_t n) {
   return (n + kDirectIoAlignment - 1) & ~(kDirectIoAlignment - 1);
@@ -200,52 +204,19 @@ class FileFaultInjector {
   std::atomic<std::int64_t> injected_{0};
 };
 
-/// Pool of 4 KiB-aligned read buffers for O_DIRECT I/O: the kernel DMAs
-/// straight into these, bypassing the page cache, so the buffer pool
-/// budget is the true memory ceiling (no double-buffering in the kernel).
-/// Thread-safe; keeps a small freelist to avoid a posix_memalign per
-/// read.
-class AlignedBufferPool {
- public:
-  struct Buffer {
-    std::byte* data = nullptr;
-    std::size_t capacity = 0;
-  };
-
-  AlignedBufferPool() = default;
-  ~AlignedBufferPool();
-  AlignedBufferPool(const AlignedBufferPool&) = delete;
-  AlignedBufferPool& operator=(const AlignedBufferPool&) = delete;
-
-  /// A buffer of capacity >= bytes (rounded up to the alignment unit),
-  /// aligned to kDirectIoAlignment. Dies on allocation failure (as every
-  /// other allocation here does).
-  Buffer Acquire(std::size_t bytes);
-  /// Returns a buffer to the freelist (or frees it once the list is
-  /// full). Must be the exact Buffer an Acquire returned.
-  void Release(Buffer buffer);
-
- private:
-  static constexpr std::size_t kMaxPooled = 8;
-  std::mutex mu_;
-  std::vector<Buffer> free_;
-};
-
 struct FileProviderOptions {
-  /// Map the file read-only and serve blocks by memcpy from the mapping
-  /// instead of pread (saves the syscall; the page cache backs both).
-  bool use_mmap = false;
   /// Open the file anew on every fetch instead of holding one descriptor.
   /// Slower, but makes file-system state observable: a file deleted or
   /// chmodded mid-session fails the next fetch instead of being masked by
   /// the long-lived descriptor. The validation-time geometry still
   /// applies.
   bool reopen_per_fetch = false;
-  /// Read payloads with O_DIRECT (page-cache bypass): reads are widened
-  /// to 4 KiB-aligned spans into pooled aligned buffers and sliced out.
-  /// When the filesystem rejects O_DIRECT (tmpfs/CI) the provider falls
-  /// back to plain pread — check direct_active(). Ignored under use_mmap
-  /// or reopen_per_fetch (both want the page cache / per-fetch fd).
+  /// Read payloads with O_DIRECT (page-cache bypass) straight into the
+  /// page-aligned frames, each extent's read widened to the alignment
+  /// unit. Needs an aligned-extent file (kFlagAlignedExtents); on a plain
+  /// file, a filesystem that rejects O_DIRECT (tmpfs/CI) or under
+  /// reopen_per_fetch (which wants a per-fetch buffered fd) the provider
+  /// reads through the page cache — check direct_active().
   bool use_direct = false;
 };
 
@@ -272,11 +243,11 @@ class FileBlockProvider final : public BlockProvider {
   const storage::Dictionary* dictionary() const override {
     return dictionary_.get();
   }
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override;
-  /// One pread (or mmap memcpy) spanning the adjacent blocks' extents —
-  /// the coalesced cold-band read.
-  Result<std::vector<std::byte>> ReadRange(std::int64_t first_block,
-                                           std::int64_t count) override;
+  /// One preadv spanning the blocks' extents, scattered into `frames`;
+  /// on aligned-extent files the inter-extent padding lands in each
+  /// frame's slack past its payload.
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<Frame> frames) override;
   bool async() const override { return true; }
 
   const storage::PaxLayout* pax_layout() const override {
@@ -320,12 +291,6 @@ class FileBlockProvider final : public BlockProvider {
  private:
   FileBlockProvider() = default;
 
-  /// Reads [offset, offset + size) into `dst`: pread on the held (or
-  /// per-fetch reopened) descriptor, or memcpy from the mapping. Applies
-  /// the fault injector. `what` labels errors ("block 3" / "blocks 3..7").
-  Status ReadAt(std::int64_t offset, std::byte* dst, std::int64_t size,
-                const std::string& what);
-
   std::string path_;
   FileProviderOptions options_;
   std::shared_ptr<storage::Dictionary> dictionary_;
@@ -333,12 +298,9 @@ class FileBlockProvider final : public BlockProvider {
   std::vector<BlockExtent> extents_;
   std::optional<storage::PaxLayout> pax_layout_;
   std::vector<std::shared_ptr<storage::Dictionary>> pax_dictionaries_;
-  std::int64_t file_size_ = 0;
   int fd_ = -1;  // -1 in reopen_per_fetch mode.
-  void* map_ = nullptr;  // Non-null iff use_mmap.
   bool aligned_extents_ = false;
   bool direct_active_ = false;
-  AlignedBufferPool buffer_pool_;
   std::atomic<FileFaultInjector*> injector_{nullptr};
   std::atomic<std::int64_t> reads_{0};
   std::atomic<std::int64_t> ranged_reads_{0};

@@ -1068,14 +1068,14 @@ void Kernel::HandleSlideStep(const GestureEvent& event, ObjectState* obj) {
     }
     const auto matches = binding.join->Feed(side, mapping.row);
     for (const exec::JoinMatch& m : matches) {
-      ResultItem item;
-      item.object = obj->id;
-      item.kind = ResultKind::kJoinMatch;
-      item.timestamp_us = event.timestamp_us;
-      item.screen_position = ResultPosition(*obj, event.position);
-      item.row = side == exec::JoinSide::kLeft ? m.left_row : m.right_row;
-      item.value = storage::Value(m.key);
-      results_.Append(std::move(item));
+      results_.Append(ResultItem{
+          .object = obj->id,
+          .kind = ResultKind::kJoinMatch,
+          .timestamp_us = event.timestamp_us,
+          .screen_position = ResultPosition(*obj, event.position),
+          .row = side == exec::JoinSide::kLeft ? m.left_row : m.right_row,
+          .value = storage::Value(m.key),
+      });
     }
     stats_.entries_returned += static_cast<std::int64_t>(matches.size());
   }

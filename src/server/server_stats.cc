@@ -53,6 +53,8 @@ std::string ServerStatsSnapshot::ToJson(bool include_buckets) const {
   writer.Field("resident_bytes", buffer.resident_bytes);
   writer.Field("peak_resident_bytes", buffer.peak_resident_bytes);
   writer.Field("budget_bytes", buffer.budget_bytes);
+  writer.Field("frame_bytes", buffer.frame_bytes);
+  writer.Field("peak_frame_bytes", buffer.peak_frame_bytes);
   writer.Field("tracked_matrix_bytes", buffer.tracked_matrix_bytes);
   writer.Field("tracked_column_bytes", buffer.tracked_column_bytes);
   writer.EndObject();

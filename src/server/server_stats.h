@@ -53,6 +53,10 @@ struct BufferStatsSnapshot {
   std::int64_t resident_bytes = 0;
   std::int64_t peak_resident_bytes = 0;
   std::int64_t budget_bytes = 0;
+  /// Bytes the pool's frames map (payloads in use plus recycled spares),
+  /// and the high-water mark: the pool's real footprint.
+  std::int64_t frame_bytes = 0;
+  std::int64_t peak_frame_bytes = 0;
   /// Raw column storage resident OUTSIDE the pool, from
   /// storage::MemoryTracker: table matrices (drops to ~0 for a table
   /// spilled with reclamation) and standalone columns (sample-hierarchy
@@ -92,7 +96,7 @@ struct FetchStatsSnapshot {
   /// at one attempt instead of a full retry budget).
   std::int64_t aborted_fetches = 0;
   /// Pre-formed ranged warm-up tickets issued along extrapolated slide
-  /// paths (>= 2 blocks riding one ReadRange each).
+  /// paths (>= 2 blocks riding one ReadBlocks each).
   std::int64_t prefetch_ranges = 0;
   /// Suspend round trips saved by multi-attribute stalls: a fat-table
   /// quantum whose probe missed on N sources suspends once, not N times;

@@ -915,6 +915,8 @@ ServerStatsSnapshot TouchServer::stats() const {
     snapshot.buffer.peak_resident_bytes = buffer.peak_resident_bytes;
     snapshot.buffer.budget_bytes =
         shared_->buffer_manager().config().budget_bytes;
+    snapshot.buffer.frame_bytes = buffer.frame_bytes;
+    snapshot.buffer.peak_frame_bytes = buffer.peak_frame_bytes;
     const storage::MemoryTracker& tracker =
         storage::MemoryTracker::Instance();
     snapshot.buffer.tracked_matrix_bytes = tracker.matrix_bytes();

@@ -38,7 +38,12 @@ std::string Schema::ToString() const {
   for (const Field& f : fields_) {
     parts.push_back(f.name + ":" + std::string(DataTypeName(f.type)));
   }
-  return "(" + Join(parts, ", ") + ")";
+  // Appended in place: `"(" + std::string&&` trips a GCC 12 -Wrestrict
+  // false positive at -O2.
+  std::string out = "(";
+  out += Join(parts, ", ");
+  out += ")";
+  return out;
 }
 
 }  // namespace dbtouch::storage

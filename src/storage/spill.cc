@@ -1,6 +1,7 @@
 #include "storage/spill.h"
 
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "cache/block_provider.h"
@@ -41,16 +42,17 @@ Result<std::shared_ptr<cache::FileBlockProvider>> TableSpiller::SpillColumn(
   writer_options.aligned_extents = options_.aligned_extents;
   writer_options.use_direct = options_.use_direct;
   cache::BlockFileWriter writer(path, reader.geometry(), writer_options);
+  cache::FramePool frames(/*keep_bytes=*/0);
+  cache::Frame payload = frames.Acquire(reader.geometry().frame_bytes());
   for (std::int64_t block = 0; block < reader.geometry().num_blocks();
        ++block) {
-    DBTOUCH_ASSIGN_OR_RETURN(const std::vector<std::byte> payload,
-                             reader.Fetch(block));
+    DBTOUCH_RETURN_IF_ERROR(
+        reader.ReadBlocks(block, std::span<cache::Frame>(&payload, 1)));
     DBTOUCH_RETURN_IF_ERROR(writer.Append(payload.data(), payload.size()));
   }
   DBTOUCH_RETURN_IF_ERROR(writer.Finish());
 
   cache::FileProviderOptions provider_options;
-  provider_options.use_mmap = options_.use_mmap;
   provider_options.reopen_per_fetch = options_.reopen_per_fetch;
   provider_options.use_direct = options_.use_direct;
   DBTOUCH_ASSIGN_OR_RETURN(
@@ -101,13 +103,20 @@ TableSpiller::SpillTablePax(const std::shared_ptr<const Table>& table) {
   writer_options.use_direct = options_.use_direct;
   writer_options.pax_columns = types;
   cache::BlockFileWriter writer(path, geometry, writer_options);
+  cache::FramePool frames(/*keep_bytes=*/0);
+  std::vector<cache::Frame> minipages;
+  minipages.reserve(num_columns);
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    minipages.push_back(frames.Acquire(readers[c]->geometry().frame_bytes()));
+  }
   std::vector<std::byte> block_payload;
   for (std::int64_t block = 0; block < geometry.num_blocks(); ++block) {
     const std::int64_t rows = geometry.BlockRowCount(block);
     block_payload.assign(layout.BlockBytes(rows), std::byte{0});
     for (std::size_t c = 0; c < num_columns; ++c) {
-      DBTOUCH_ASSIGN_OR_RETURN(const std::vector<std::byte> minipage,
-                               readers[c]->Fetch(block));
+      cache::Frame& minipage = minipages[c];
+      DBTOUCH_RETURN_IF_ERROR(readers[c]->ReadBlocks(
+          block, std::span<cache::Frame>(&minipage, 1)));
       DBTOUCH_CHECK(minipage.size() == layout.MinipageBytes(rows, c));
       std::memcpy(block_payload.data() + layout.MinipageOffset(rows, c),
                   minipage.data(), minipage.size());
@@ -118,7 +127,6 @@ TableSpiller::SpillTablePax(const std::shared_ptr<const Table>& table) {
   DBTOUCH_RETURN_IF_ERROR(writer.Finish());
 
   cache::FileProviderOptions provider_options;
-  provider_options.use_mmap = options_.use_mmap;
   provider_options.reopen_per_fetch = options_.reopen_per_fetch;
   provider_options.use_direct = options_.use_direct;
   std::vector<std::shared_ptr<Dictionary>> dictionaries;

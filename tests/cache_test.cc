@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "cache/block_cache.h"
@@ -40,6 +41,26 @@ std::vector<std::byte> PayloadFor(std::int64_t block,
   return out;
 }
 
+/// PayloadFor(block, bytes) in a frame of `cache`'s pool.
+Frame FrameFor(BlockCache& cache, std::int64_t block,
+               std::int64_t bytes = kBlockBytes) {
+  const std::vector<std::byte> payload = PayloadFor(block, bytes);
+  Frame frame = cache.frames().Acquire(payload.size());
+  frame.set_size(payload.size());
+  std::memcpy(frame.data(), payload.data(), payload.size());
+  return frame;
+}
+
+/// What the test providers serve: PayloadFor(block) in each frame.
+void FillFrames(std::int64_t first_block, std::span<Frame> frames) {
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::vector<std::byte> payload =
+        PayloadFor(first_block + static_cast<std::int64_t>(i));
+    frames[i].set_size(payload.size());
+    std::memcpy(frames[i].data(), payload.data(), payload.size());
+  }
+}
+
 BlockCache::Config SmallCache(bool gesture_aware,
                               std::int64_t capacity_blocks = 4) {
   BlockCache::Config config;
@@ -52,7 +73,7 @@ BlockCache::Config SmallCache(bool gesture_aware,
 /// Pin + immediate unpin — the old metadata cache's Access(), with bytes.
 BlockCache::Pinned Touch(BlockCache& cache, std::int64_t block, RowId row) {
   auto pinned = cache.Pin(BlockKey{0, block}, row,
-                          [block] { return PayloadFor(block); });
+                          [&cache, block] { return FrameFor(cache, block); });
   EXPECT_TRUE(pinned.ok());
   cache.Unpin(BlockKey{0, block});
   return *pinned;
@@ -68,7 +89,7 @@ TEST(BlockCacheTest, MissThenHitServesSamePayload) {
   EXPECT_FALSE(miss.hit);
   EXPECT_TRUE(miss.retained);
   auto hit = cache.Pin(BlockKey{0, 1}, 101,
-                       [] { return PayloadFor(99); });  // Filler unused.
+                       [&cache] { return FrameFor(cache, 99); });  // Unused.
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->hit);
   const auto expected = PayloadFor(1);
@@ -174,14 +195,14 @@ TEST(BlockCacheTest, GestureAwarePolicyRetainsRegionAcrossScan) {
 
 TEST(BlockCacheTest, EvictionSkipsPinnedBlocks) {
   BlockCache cache(SmallCache(false, /*capacity_blocks=*/2));
-  auto a = cache.Pin(BlockKey{0, 1}, 0, [] { return PayloadFor(1); });
-  auto b = cache.Pin(BlockKey{0, 2}, 1, [] { return PayloadFor(2); });
+  auto a = cache.Pin(BlockKey{0, 1}, 0, [&cache] { return FrameFor(cache, 1); });
+  auto b = cache.Pin(BlockKey{0, 2}, 1, [&cache] { return FrameFor(cache, 2); });
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->retained && b->retained);
 
   // Budget full of pinned blocks: the next pin must not evict them — it
   // is served transient and the budget holds.
-  auto c = cache.Pin(BlockKey{0, 3}, 2, [] { return PayloadFor(3); });
+  auto c = cache.Pin(BlockKey{0, 3}, 2, [&cache] { return FrameFor(cache, 3); });
   ASSERT_TRUE(c.ok());
   EXPECT_FALSE(c->retained);
   EXPECT_EQ(cache.stats().budget_rejections, 1);
@@ -196,7 +217,7 @@ TEST(BlockCacheTest, EvictionSkipsPinnedBlocks) {
 
   // Once a pin drops, that block is evictable again.
   cache.Unpin(BlockKey{0, 1});
-  auto d = cache.Pin(BlockKey{0, 4}, 3, [] { return PayloadFor(4); });
+  auto d = cache.Pin(BlockKey{0, 4}, 3, [&cache] { return FrameFor(cache, 4); });
   ASSERT_TRUE(d.ok());
   EXPECT_TRUE(d->retained);
   EXPECT_FALSE(Resident(cache, 1));  // Evicted (unpinned LRU victim).
@@ -207,7 +228,7 @@ TEST(BlockCacheTest, EvictionSkipsPinnedBlocks) {
 
 TEST(BlockCacheTest, PinnedPayloadStableUnderEvictionPressure) {
   BlockCache cache(SmallCache(false, /*capacity_blocks=*/3));
-  auto pinned = cache.Pin(BlockKey{0, 77}, 0, [] { return PayloadFor(77); });
+  auto pinned = cache.Pin(BlockKey{0, 77}, 0, [&cache] { return FrameFor(cache, 77); });
   ASSERT_TRUE(pinned.ok());
   // Churn far more blocks through the cache than the budget holds.
   for (std::int64_t b = 0; b < 64; ++b) {
@@ -234,13 +255,56 @@ TEST(BlockCacheTest, OversizedBlockServedTransient) {
   config.gesture_aware = false;
   BlockCache cache(config);
   auto pinned = cache.Pin(BlockKey{0, 5}, 0,
-                          [] { return PayloadFor(5, 150); });
+                          [&cache] { return FrameFor(cache, 5, 150); });
   ASSERT_TRUE(pinned.ok());
   EXPECT_FALSE(pinned->retained);
   EXPECT_EQ(pinned->size, 150u);
   EXPECT_EQ(cache.resident_bytes(), 0);
   cache.Unpin(BlockKey{0, 5});
   EXPECT_FALSE(Resident(cache, 5));
+}
+
+// ---- FramePool ----------------------------------------------------------------
+
+TEST(FramePoolTest, RecyclesSparesWithinItsBoundAndUnmapsBeyond) {
+  constexpr auto kPage = static_cast<std::int64_t>(kFrameAlignment);
+  constexpr std::int64_t kFrame = 2 * kPage;
+  FramePool pool(/*keep_bytes=*/3 * kFrame);
+  EXPECT_EQ(pool.stats().mapped_bytes, 0);
+  {
+    std::vector<Frame> frames;
+    frames.push_back(pool.Acquire(kFrame - 100));  // Rounded up.
+    for (int i = 0; i < 3; ++i) {
+      frames.push_back(pool.Acquire(kFrame));
+    }
+    for (const Frame& frame : frames) {
+      EXPECT_EQ(frame.capacity(), static_cast<std::size_t>(kFrame));
+      EXPECT_EQ(frame.size(), 0u);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(frame.data()) %
+                    kFrameAlignment,
+                0u);
+    }
+    Frame moved = std::move(frames.back());  // Handles move, not copy.
+    EXPECT_EQ(frames.back().data(), nullptr);
+    EXPECT_EQ(pool.stats().mapped_bytes, 4 * kFrame);
+    EXPECT_EQ(pool.stats().in_use_bytes, 4 * kFrame);
+  }
+  // Released past the bound: one frame unmapped, three kept as spares.
+  FramePoolStats stats = pool.stats();
+  EXPECT_EQ(stats.in_use_bytes, 0);
+  EXPECT_EQ(stats.mapped_bytes, 3 * kFrame);
+  EXPECT_EQ(stats.peak_mapped_bytes, 4 * kFrame);
+  EXPECT_EQ(stats.maps, 4);
+
+  Frame same = pool.Acquire(kFrame);  // A spare: no new mapping.
+  EXPECT_EQ(pool.stats().maps, 4);
+  // Another size cannot use the spares; the oldest gives way so the
+  // pool stays within its bound.
+  Frame small = pool.Acquire(1);
+  EXPECT_EQ(small.capacity(), kFrameAlignment);
+  stats = pool.stats();
+  EXPECT_EQ(stats.maps, 5);
+  EXPECT_EQ(stats.mapped_bytes, 2 * kFrame + kPage);
 }
 
 // ---- BufferManager over block providers -----------------------------------
@@ -340,7 +404,7 @@ TEST(BlockCacheTest, TryPinMissesWithoutFillingAndHitsAfterInsert) {
   EXPECT_EQ(cache.stats().would_block, 1);
   EXPECT_FALSE(cache.Contains(key));  // A probe materialises nothing.
 
-  cache.Insert(key, PayloadFor(7));
+  cache.Insert(key, FrameFor(cache, 7));
   EXPECT_EQ(cache.stats().staged_blocks, 1);
   const auto pinned = cache.TryPin(key, -1);
   ASSERT_TRUE(pinned.has_value());
@@ -357,12 +421,15 @@ TEST(BlockCacheTest, TryPinMissesWithoutFillingAndHitsAfterInsert) {
 TEST(BlockCacheTest, InsertIsDroppedWhenPayloadAlreadyPresent) {
   BlockCache cache(SmallCache(false));
   Touch(cache, 3, -1);  // Synchronous fill wins the race.
-  cache.Insert(BlockKey{0, 3}, PayloadFor(99));
+  cache.Insert(BlockKey{0, 3}, FrameFor(cache, 99));
   const auto pinned = cache.TryPin(BlockKey{0, 3}, -1);
   ASSERT_TRUE(pinned.has_value());
   // The original payload survived; the late completion was discarded.
   EXPECT_EQ(std::memcmp(pinned->data, PayloadFor(3).data(), kBlockBytes), 0);
   EXPECT_EQ(cache.stats().insert_duplicates, 1);
+  // The dropped completion's frame went straight back to the pool.
+  EXPECT_EQ(cache.frames().stats().in_use_bytes,
+            static_cast<std::int64_t>(kFrameAlignment));
   cache.Unpin(BlockKey{0, 3});
 }
 
@@ -370,9 +437,9 @@ TEST(BlockCacheTest, UnclaimedStagedBlocksAreBoundedByTheCap) {
   BlockCache::Config config = SmallCache(false);
   config.staged_cap_bytes = 2 * kBlockBytes;
   BlockCache cache(config);
-  cache.Insert(BlockKey{0, 1}, PayloadFor(1));
-  cache.Insert(BlockKey{0, 2}, PayloadFor(2));
-  cache.Insert(BlockKey{0, 3}, PayloadFor(3));  // Evicts oldest staged (1).
+  cache.Insert(BlockKey{0, 1}, FrameFor(cache, 1));
+  cache.Insert(BlockKey{0, 2}, FrameFor(cache, 2));
+  cache.Insert(BlockKey{0, 3}, FrameFor(cache, 3));  // Evicts oldest staged (1).
   const BlockCacheStats stats = cache.stats();
   EXPECT_EQ(stats.staged_blocks, 2);
   EXPECT_LE(stats.staged_bytes, config.staged_cap_bytes);
@@ -396,14 +463,20 @@ class GatedProvider final : public BlockProvider {
   const BlockGeometry& geometry() const override { return geometry_; }
   bool async() const override { return true; }
 
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++entered_;
-    entered_cv_.notify_all();
-    gate_cv_.wait_for(lock, std::chrono::seconds(10),
-                      [this] { return open_; });
-    order_.push_back(block);
-    return PayloadFor(block);
+  /// Block by block, each passing the gate and recorded in order.
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<Frame> frames) override {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const std::int64_t block = first_block + static_cast<std::int64_t>(i);
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      entered_cv_.notify_all();
+      gate_cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return open_; });
+      order_.push_back(block);
+      FillFrames(block, frames.subspan(i, 1));
+    }
+    return Status::OK();
   }
 
   void OpenGate() {
@@ -439,12 +512,7 @@ TEST(FetchQueueTest, DemandFetchesPreemptQueuedPrefetches) {
   BlockCache cache(cache_config);
   FetchQueueConfig config;
   config.num_fetchers = 1;  // Deterministic service order.
-  FetchQueue queue(config, [&cache](const BlockKey& key,
-                                    std::vector<std::byte> payload,
-                                    FetchPriority priority) {
-    cache.Insert(key, std::move(payload),
-                 priority == FetchPriority::kDemand);
-  });
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<GatedProvider>();
 
   // Prefetch A starts fetching and parks at the gate; prefetches B and C
@@ -483,12 +551,7 @@ TEST(FetchQueueTest, DemandEnqueueUpgradesQueuedPrefetch) {
   BlockCache cache(SmallCache(false, 16));
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  FetchQueue queue(config, [&cache](const BlockKey& key,
-                                    std::vector<std::byte> payload,
-                                    FetchPriority priority) {
-    cache.Insert(key, std::move(payload),
-                 priority == FetchPriority::kDemand);
-  });
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<GatedProvider>();
 
   queue.Enqueue(BlockKey{1, 0}, provider, 0, FetchPriority::kPrefetch,
@@ -528,12 +591,14 @@ TEST(FetchQueueTest, TransientErrorsRetryUntilBoundThenFail) {
     }
     const BlockGeometry& geometry() const override { return geometry_; }
     bool async() const override { return true; }
-    Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
+    Status ReadBlocks(std::int64_t first_block,
+                      std::span<Frame> frames) override {
       const std::lock_guard<std::mutex> lock(mu_);
       if (attempts_++ < fail_) {
         return Status::Aborted("injected transport failure");
       }
-      return PayloadFor(block);
+      FillFrames(first_block, frames);
+      return Status::OK();
     }
 
    private:
@@ -548,15 +613,9 @@ TEST(FetchQueueTest, TransientErrorsRetryUntilBoundThenFail) {
   config.num_fetchers = 1;
   config.max_retries = 3;
   config.retry_backoff_us = 50;
-  const FetchQueue::Sink sink = [&cache](const BlockKey& key,
-                                         std::vector<std::byte> payload,
-                                         FetchPriority priority) {
-    cache.Insert(key, std::move(payload),
-                 priority == FetchPriority::kDemand);
-  };
   {
     // Two transient failures, then success: waiter sees OK.
-    FetchQueue queue(config, sink);
+    FetchQueue queue(config, cache);
     auto provider = std::make_shared<FlakyProvider>(2);
     Status status = Status::Internal("never completed");
     queue.Enqueue(BlockKey{1, 0}, provider, 0, FetchPriority::kDemand,
@@ -569,7 +628,7 @@ TEST(FetchQueueTest, TransientErrorsRetryUntilBoundThenFail) {
   }
   {
     // More failures than the bound: the final error reaches the waiter.
-    FetchQueue queue(config, sink);
+    FetchQueue queue(config, cache);
     auto provider = std::make_shared<FlakyProvider>(100);
     Status status;
     queue.Enqueue(BlockKey{2, 0}, provider, 0, FetchPriority::kDemand,
@@ -580,6 +639,10 @@ TEST(FetchQueueTest, TransientErrorsRetryUntilBoundThenFail) {
     EXPECT_FALSE(cache.Contains(BlockKey{2, 0}));
     EXPECT_EQ(queue.stats().failures, 1);
     EXPECT_EQ(queue.stats().retries, 3);
+    // The failed read's frame is back in the pool: only block {1, 0}'s
+    // frame is still in use.
+    EXPECT_EQ(cache.frames().stats().in_use_bytes,
+              static_cast<std::int64_t>(provider->geometry().frame_bytes()));
   }
 }
 
@@ -647,13 +710,13 @@ TEST(BufferManagerTest, RemoteProviderFaultsColdBlocksOnce) {
 
 // ---- Ranged-read coalescing (batched demand fetches) ------------------------
 
-/// Gated provider that also records ReadRange calls, so tests can assert
+/// Gated provider that also records its ReadBlocks calls, so tests can assert
 /// how many provider round trips a set of misses actually cost.
 class RangedGatedProvider final : public BlockProvider {
  public:
   struct Call {
     std::int64_t first = 0;
-    std::int64_t count = 0;  // 1 = single-block Fetch.
+    std::int64_t count = 0;  // 1 = single-block read.
   };
 
   RangedGatedProvider() {
@@ -665,20 +728,11 @@ class RangedGatedProvider final : public BlockProvider {
   const BlockGeometry& geometry() const override { return geometry_; }
   bool async() const override { return true; }
 
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
-    Gate(Call{block, 1});
-    return PayloadFor(block);
-  }
-
-  Result<std::vector<std::byte>> ReadRange(std::int64_t first_block,
-                                           std::int64_t count) override {
-    Gate(Call{first_block, count});
-    std::vector<std::byte> payload;
-    for (std::int64_t b = first_block; b < first_block + count; ++b) {
-      const std::vector<std::byte> one = PayloadFor(b);
-      payload.insert(payload.end(), one.begin(), one.end());
-    }
-    return payload;
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<Frame> frames) override {
+    Gate(Call{first_block, static_cast<std::int64_t>(frames.size())});
+    FillFrames(first_block, frames);
+    return Status::OK();
   }
 
   void OpenGate() {
@@ -717,21 +771,13 @@ class RangedGatedProvider final : public BlockProvider {
   std::vector<Call> calls_;
 };
 
-FetchQueue::Sink InsertSink(BlockCache& cache) {
-  return [&cache](const BlockKey& key, std::vector<std::byte> payload,
-                  FetchPriority priority) {
-    cache.Insert(key, std::move(payload),
-                 priority == FetchPriority::kDemand);
-  };
-}
-
 TEST(FetchQueueTest, AdjacentDemandMissesCoalesceIntoOneRangedRead) {
   BlockCache::Config cache_config = SmallCache(false, 16);
   cache_config.staged_cap_bytes = 16 * kBlockBytes;
   BlockCache cache(cache_config);
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   // Hold the fetcher on an unrelated block so the band's four demand
@@ -778,7 +824,7 @@ TEST(FetchQueueTest, NonAdjacentMissesDoNotMerge) {
   BlockCache cache(SmallCache(false, 16));
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,
@@ -807,7 +853,7 @@ TEST(FetchQueueTest, CoalescingIsBoundedByMaxCoalesceBlocks) {
   FetchQueueConfig config;
   config.num_fetchers = 1;
   config.max_coalesce_blocks = 4;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,
@@ -835,7 +881,7 @@ TEST(FetchQueueTest, DemandFaultPreemptsCoalescedPrefetchRange) {
   BlockCache cache(cache_config);
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   // An adjacent prefetch run queues behind a gated fetch; then a demand
@@ -870,7 +916,7 @@ TEST(FetchQueueTest, DemandRangeDoesNotSwallowAdjacentPrefetch) {
   BlockCache cache(cache_config);
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,
@@ -903,7 +949,7 @@ TEST(FetchQueueTest, CancelTaggedDropsQueuedButNotInFlightFetches) {
   FetchQueueConfig config;
   config.num_fetchers = 1;
   config.max_coalesce_blocks = 1;  // One request per provider call.
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   // Session 7 has one fetch in flight and two queued (non-adjacent);
@@ -963,7 +1009,7 @@ TEST(FetchQueueTest, CancelTaggedKeepsRequestsWithOtherWaiters) {
   BlockCache cache(SmallCache(false, 16));
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,
@@ -1004,7 +1050,7 @@ TEST(FetchQueueTest, CancelTaggedAbortsInFlightRetryLoop) {
     }
     const BlockGeometry& geometry() const override { return geometry_; }
     bool async() const override { return true; }
-    Result<std::vector<std::byte>> Fetch(std::int64_t) override {
+    Status ReadBlocks(std::int64_t, std::span<Frame>) override {
       std::unique_lock<std::mutex> lock(mu_);
       ++attempts_;
       entered_cv_.notify_all();
@@ -1043,7 +1089,7 @@ TEST(FetchQueueTest, CancelTaggedAbortsInFlightRetryLoop) {
   config.num_fetchers = 1;
   config.max_retries = 8;            // A full fetch would spend 8 retries.
   config.retry_backoff_us = 10'000;  // ...and ~2.5s of backoff.
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<GatedFailingProvider>();
 
   Status waiter_status = Status::Internal("never fired");
@@ -1051,12 +1097,14 @@ TEST(FetchQueueTest, CancelTaggedAbortsInFlightRetryLoop) {
                 [&waiter_status](const Status& s) { waiter_status = s; },
                 /*tag=*/7);
   provider->AwaitAttempt();
+  EXPECT_GT(cache.frames().stats().in_use_bytes, 0);  // The read's frame.
   // The session closes mid-attempt: its waiter fails now, the abort
   // latch caps the read at the attempt already running.
   EXPECT_EQ(queue.CancelTagged(7), 0u);  // In flight: not "dropped".
   EXPECT_EQ(waiter_status.code(), StatusCode::kAborted);
   provider->OpenGate();
   queue.WaitIdle();
+  EXPECT_EQ(cache.frames().stats().in_use_bytes, 0);  // Returned.
 
   EXPECT_EQ(provider->attempts(), 1);  // One attempt, zero retries.
   const FetchQueueStats stats = queue.stats();
@@ -1074,7 +1122,7 @@ TEST(FetchQueueTest, EnqueueRangePopsAsOnePreFormedRangedRead) {
   // Coalescing OFF: a pre-formed ranged ticket needs no pop-time
   // re-merging — the horizon sized it at enqueue time.
   config.max_coalesce_blocks = 1;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   // Hold the fetcher on an unrelated block so the ticket is popped whole.
@@ -1090,7 +1138,7 @@ TEST(FetchQueueTest, EnqueueRangePopsAsOnePreFormedRangedRead) {
   const std::vector<RangedGatedProvider::Call> calls = provider->calls();
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(calls[1].first, 3);
-  EXPECT_EQ(calls[1].count, 5);  // ONE ReadRange despite the merge cap.
+  EXPECT_EQ(calls[1].count, 5);  // ONE ReadBlocks despite the merge cap.
   for (std::int64_t b = 3; b <= 7; ++b) {
     EXPECT_TRUE(cache.Contains(BlockKey{1, b})) << "block " << b;
   }
@@ -1109,7 +1157,7 @@ TEST(FetchQueueTest, DemandEnqueueSplitsQueuedPrefetchRange) {
   FetchQueueConfig config;
   config.num_fetchers = 1;
   config.max_coalesce_blocks = 1;
-  FetchQueue queue(config, InsertSink(cache));
+  FetchQueue queue(config, cache);
   auto provider = std::make_shared<RangedGatedProvider>();
 
   queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,

@@ -12,9 +12,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "block_payloads.h"
 #include "cache/block_provider.h"
 #include "cache/buffer_manager.h"
 #include "cache/fetch_queue.h"
@@ -51,6 +53,8 @@ using storage::RowId;
 using storage::SpillOptions;
 using storage::Table;
 using storage::TableSpiller;
+using testing_util::ReadBlockPayload;
+using testing_util::ReadBlockPayloads;
 using touch::RectCm;
 
 /// Scratch directory, removed with everything in it at scope exit.
@@ -79,63 +83,106 @@ std::shared_ptr<Table> SequenceTable(const std::string& name,
   return *Table::FromColumns(name, std::move(cols));
 }
 
+/// One block through the shared retry policy, into a throwaway frame.
+Status ReadWithRetry(cache::BlockProvider& provider, std::int64_t block,
+                     const cache::FetchQueueConfig& config,
+                     std::int64_t* retries) {
+  cache::FramePool pool(/*keep_bytes=*/0);
+  cache::Frame frame = pool.Acquire(provider.geometry().frame_bytes());
+  return cache::ReadBlocksWithRetry(provider, block,
+                                    std::span<cache::Frame>(&frame, 1),
+                                    config, retries);
+}
+
 // ---- Format round trips -----------------------------------------------------
 
-class FileProviderModes : public testing::TestWithParam<bool> {};
+/// The file layouts and read modes every round trip runs under: plain
+/// contiguous extents, 4 KiB-aligned extents, and aligned extents read
+/// through O_DIRECT (buffered where the filesystem refuses it).
+struct FileMode {
+  const char* name;
+  bool aligned_extents;
+  bool use_direct;
+};
+
+class FileProviderModes : public testing::TestWithParam<FileMode> {
+ protected:
+  SpillOptions Options(std::int64_t rows_per_block) const {
+    SpillOptions options;
+    options.rows_per_block = rows_per_block;
+    options.aligned_extents = GetParam().aligned_extents;
+    options.use_direct = GetParam().use_direct;
+    return options;
+  }
+};
 
 TEST_P(FileProviderModes, SpilledBlocksAreByteIdenticalToTableProvider) {
-  const bool use_mmap = GetParam();
   ScratchDir dir;
-  SpillOptions options;
-  options.rows_per_block = 96;  // 1000 % 96 != 0: a ragged tail block.
-  options.use_mmap = use_mmap;
+  // 1000 % 96 != 0: a ragged tail block.
+  const SpillOptions options = Options(96);
   TableSpiller spiller(dir.path(), options);
   auto table = SequenceTable("t", 1'000);
   const auto provider = spiller.SpillColumn(table, 0);
   ASSERT_TRUE(provider.ok()) << provider.status();
   EXPECT_EQ(spiller.columns_spilled(), 1);
   EXPECT_GT(spiller.bytes_written(), 1'000 * 8);
+  EXPECT_EQ((*provider)->aligned_extents(), options.aligned_extents);
 
   TableBlockProvider reference(table, 0, options.rows_per_block);
   ASSERT_EQ((*provider)->geometry().num_blocks(),
             reference.geometry().num_blocks());
   for (std::int64_t b = 0; b < reference.geometry().num_blocks(); ++b) {
-    const auto from_file = (*provider)->Fetch(b);
-    const auto from_table = reference.Fetch(b);
+    const auto from_file = ReadBlockPayload(**provider, b);
+    const auto from_table = ReadBlockPayload(reference, b);
     ASSERT_TRUE(from_file.ok()) << from_file.status();
     ASSERT_TRUE(from_table.ok());
     EXPECT_EQ(*from_file, *from_table) << "block " << b;
   }
 }
 
-TEST_P(FileProviderModes, ReadRangeMatchesConcatenatedFetches) {
-  const bool use_mmap = GetParam();
+TEST_P(FileProviderModes, RangedReadsMatchSingleBlockReads) {
   ScratchDir dir;
-  SpillOptions options;
-  options.rows_per_block = 64;
-  options.use_mmap = use_mmap;
-  TableSpiller spiller(dir.path(), options);
+  TableSpiller spiller(dir.path(), Options(64));
   const auto provider = spiller.SpillColumn(SequenceTable("t", 1'000), 0);
   ASSERT_TRUE(provider.ok()) << provider.status();
+  const std::int64_t num_blocks = (*provider)->geometry().num_blocks();
+  ASSERT_EQ(num_blocks, 16);  // 15 full blocks and a 40-row tail.
 
-  const auto ranged = (*provider)->ReadRange(3, 5);
-  ASSERT_TRUE(ranged.ok()) << ranged.status();
-  std::vector<std::byte> expected;
-  for (std::int64_t b = 3; b < 8; ++b) {
-    const auto one = (*provider)->Fetch(b);
-    ASSERT_TRUE(one.ok());
-    expected.insert(expected.end(), one->begin(), one->end());
+  std::vector<std::vector<std::byte>> singles;
+  for (std::int64_t b = 0; b < num_blocks; ++b) {
+    const auto one = ReadBlockPayload(**provider, b);
+    ASSERT_TRUE(one.ok()) << one.status();
+    singles.push_back(*one);
   }
-  EXPECT_EQ(*ranged, expected);
-  EXPECT_EQ((*provider)->ranged_reads(), 1);
-  EXPECT_GE((*provider)->blocks_read(), 6);
+  EXPECT_EQ(singles.back().size(), 40u * 8);
+  // A run from the middle, and one ending in the short last block: each
+  // one preadv scattered into the frames.
+  const auto middle = ReadBlockPayloads(**provider, 3, 5);
+  ASSERT_TRUE(middle.ok()) << middle.status();
+  const auto tail = ReadBlockPayloads(**provider, 9, num_blocks - 9);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  for (std::int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ((*middle)[static_cast<std::size_t>(i)],
+              singles[static_cast<std::size_t>(3 + i)])
+        << "block " << 3 + i;
+  }
+  for (std::int64_t i = 0; i < num_blocks - 9; ++i) {
+    EXPECT_EQ((*tail)[static_cast<std::size_t>(i)],
+              singles[static_cast<std::size_t>(9 + i)])
+        << "block " << 9 + i;
+  }
+  EXPECT_EQ((*provider)->ranged_reads(), 2);
+  EXPECT_EQ((*provider)->blocks_read(), num_blocks + 5 + (num_blocks - 9));
 }
 
-INSTANTIATE_TEST_SUITE_P(PreadAndMmap, FileProviderModes,
-                         testing::Values(false, true),
-                         [](const testing::TestParamInfo<bool>& info) {
-                           return info.param ? "mmap" : "pread";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, FileProviderModes,
+    testing::Values(FileMode{"pread", false, false},
+                    FileMode{"aligned", true, false},
+                    FileMode{"direct", true, true}),
+    [](const testing::TestParamInfo<FileMode>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(FileBlockProviderTest, OpenRejectsMissingCorruptAndUnfinishedFiles) {
   ScratchDir dir;
@@ -163,7 +210,7 @@ TEST(FileBlockProviderTest, OpenRejectsMissingCorruptAndUnfinishedFiles) {
   const std::string unfinished = dir.path() + "/unfinished.dbb";
   {
     BlockFileWriter writer(unfinished, reader.geometry());
-    const auto block = reader.Fetch(0);
+    const auto block = ReadBlockPayload(reader, 0);
     ASSERT_TRUE(block.ok());
     ASSERT_TRUE(writer.Append(block->data(), block->size()).ok());
     // No Finish.
@@ -177,7 +224,7 @@ TEST(FileBlockProviderTest, WriterEnforcesBlockOrderAndSizes) {
   auto table = SequenceTable("t", 300);
   TableBlockProvider reader(table, 0, 128);  // Blocks: 128, 128, 44 rows.
   BlockFileWriter writer(dir.path() + "/t.dbb", reader.geometry());
-  const auto block = reader.Fetch(0);
+  const auto block = ReadBlockPayload(reader, 0);
   ASSERT_TRUE(block.ok());
   // Wrong size for block 0.
   EXPECT_EQ(writer.Append(block->data(), block->size() - 8).code(),
@@ -306,6 +353,55 @@ TEST(FileTierAcceptanceTest, BeyondBudgetTableServesSlideSummaryWithinBudget) {
             shared->buffer_manager().sync_ranged_blocks());
 }
 
+// ---- Frames: the pool's memory bound ------------------------------------------
+
+TEST(FileTierFrameTest, SweepsOfATableFourTimesTheBudgetRecycleBoundedFrames) {
+  ScratchDir dir;
+  const std::int64_t rows_per_block = 1'024;  // 8 KiB blocks, page-sized.
+  const std::int64_t blocks = 64;
+  TableSpiller spiller(dir.path(),
+                       SpillOptions{.rows_per_block = rows_per_block});
+  const auto provider =
+      spiller.SpillColumn(SequenceTable("t", blocks * rows_per_block), 0);
+  ASSERT_TRUE(provider.ok()) << provider.status();
+  const auto frame_bytes =
+      static_cast<std::int64_t>((*provider)->geometry().frame_bytes());
+  ASSERT_EQ(frame_bytes, rows_per_block * 8);
+
+  cache::BufferManagerConfig config;
+  config.rows_per_block = rows_per_block;
+  config.budget_bytes = blocks * frame_bytes / 4;  // Table is 4x the budget.
+  config.staged_cap_bytes = 2 * frame_bytes;
+  config.gesture_aware = false;  // Every fault is admitted: full churn.
+  cache::BufferManager pool(config);
+  EXPECT_EQ(pool.stats().frame_bytes, 0);  // Nothing mapped before a fault.
+  const auto source = pool.SourceFor("t", 0, *provider);
+
+  const auto sweep = [&] {
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      const auto pin = source->PinBlock(b, b * rows_per_block);
+      ASSERT_TRUE(pin.ok()) << pin.status();
+      EXPECT_EQ(pin->view().GetInt64(0), b * rows_per_block);
+    }
+  };
+  sweep();
+  const cache::BlockCacheStats first = pool.stats();
+  EXPECT_EQ(first.faults, blocks);
+  // Each fault reads into a recycled frame once the pool is warm, so the
+  // frames ever mapped stay near the budget's worth, not one per fault.
+  EXPECT_LT(first.frame_maps, blocks / 2);
+  // The bound: retained budget + staging pad + the one frame a fill holds
+  // before its eviction makes room (the pinned-transient term).
+  EXPECT_LE(first.peak_frame_bytes,
+            config.budget_bytes + config.staged_cap_bytes + frame_bytes);
+
+  sweep();  // Identical second pass: every fault served by a spare.
+  const cache::BlockCacheStats second = pool.stats();
+  EXPECT_EQ(second.faults, 2 * blocks);
+  EXPECT_EQ(second.frame_maps, first.frame_maps);
+  EXPECT_EQ(second.peak_frame_bytes, first.peak_frame_bytes);
+}
+
 // ---- Fault battery ----------------------------------------------------------
 
 TEST(FileTierFaultTest, TruncatedFileIsTransientUntilRetriesExhaust) {
@@ -323,17 +419,17 @@ TEST(FileTierFaultTest, TruncatedFileIsTransientUntilRetriesExhaust) {
   retry.retry_backoff_us = 50;
   std::int64_t retries = 0;
   const auto last_block = (*provider)->geometry().num_blocks() - 1;
-  const auto result =
-      cache::FetchBlockWithRetry(**provider, last_block, retry, &retries);
+  const Status result =
+      ReadWithRetry(**provider, last_block, retry, &retries);
   ASSERT_FALSE(result.ok());
   // Short read: transient (the file may heal), so the bounded retry
   // policy spent its full budget before giving up.
-  EXPECT_EQ(result.status().code(), StatusCode::kAborted);
-  EXPECT_TRUE(cache::IsTransientFetchError(result.status()));
+  EXPECT_EQ(result.code(), StatusCode::kAborted);
+  EXPECT_TRUE(cache::IsTransientFetchError(result));
   EXPECT_EQ(retries, retry.max_retries);
 
   // Early blocks are still intact and keep serving.
-  EXPECT_TRUE((*provider)->Fetch(0).ok());
+  EXPECT_TRUE(ReadBlockPayload(**provider, 0).ok());
 }
 
 TEST(FileTierFaultTest, InjectedShortReadsRetryAndHeal) {
@@ -349,17 +445,15 @@ TEST(FileTierFaultTest, InjectedShortReadsRetryAndHeal) {
   retry.retry_backoff_us = 50;
   injector.FailNextReads(2, FileFaultInjector::Fault::kShortRead);
   std::int64_t retries = 0;
-  const auto result =
-      cache::FetchBlockWithRetry(**provider, 0, retry, &retries);
-  ASSERT_TRUE(result.ok()) << result.status();
+  const Status result = ReadWithRetry(**provider, 0, retry, &retries);
+  ASSERT_TRUE(result.ok()) << result;
   EXPECT_EQ(retries, 2);
   EXPECT_EQ(injector.injected(), 2);
 
   // I/O hiccups (EAGAIN-shaped) are transient too.
   injector.FailNextReads(1, FileFaultInjector::Fault::kIoError);
   retries = 0;
-  ASSERT_TRUE(
-      cache::FetchBlockWithRetry(**provider, 1, retry, &retries).ok());
+  ASSERT_TRUE(ReadWithRetry(**provider, 1, retry, &retries).ok());
   EXPECT_EQ(retries, 1);
 }
 
@@ -376,14 +470,13 @@ TEST(FileTierFaultTest, PermissionErrorFailsFastWithoutRetries) {
   retry.max_retries = 5;
   retry.retry_backoff_us = 50;
   std::int64_t retries = 0;
-  const auto result =
-      cache::FetchBlockWithRetry(**provider, 0, retry, &retries);
+  const Status result = ReadWithRetry(**provider, 0, retry, &retries);
   ASSERT_FALSE(result.ok());
-  EXPECT_FALSE(cache::IsTransientFetchError(result.status()));
+  EXPECT_FALSE(cache::IsTransientFetchError(result));
   EXPECT_EQ(retries, 0);  // Permanent: not a single retry spent.
 
   // The fault was one-shot; the tier heals.
-  EXPECT_TRUE((*provider)->Fetch(0).ok());
+  EXPECT_TRUE(ReadBlockPayload(**provider, 0).ok());
 }
 
 TEST(FileTierFaultTest, FileDeletedMidSessionFailsPermanently) {
@@ -394,15 +487,15 @@ TEST(FileTierFaultTest, FileDeletedMidSessionFailsPermanently) {
   TableSpiller spiller(dir.path(), options);
   const auto provider = spiller.SpillColumn(SequenceTable("t", 1'000), 0);
   ASSERT_TRUE(provider.ok());
-  ASSERT_TRUE((*provider)->Fetch(0).ok());
+  ASSERT_TRUE(ReadBlockPayload(**provider, 0).ok());
 
   std::filesystem::remove((*provider)->path());
   std::int64_t retries = 0;
-  const auto result = cache::FetchBlockWithRetry(
-      **provider, 0, cache::FetchQueueConfig{}, &retries);
+  const Status result =
+      ReadWithRetry(**provider, 0, cache::FetchQueueConfig{}, &retries);
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-  EXPECT_FALSE(cache::IsTransientFetchError(result.status()));
+  EXPECT_EQ(result.code(), StatusCode::kNotFound);
+  EXPECT_FALSE(cache::IsTransientFetchError(result));
   EXPECT_EQ(retries, 0);
 }
 

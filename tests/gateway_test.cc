@@ -68,16 +68,22 @@ class GatedSlowProvider final : public cache::BlockProvider {
   }
   bool async() const override { return true; }
 
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++fetches_started_;
-      started_cv_.notify_all();
-      gate_cv_.wait_for(lock, std::chrono::seconds(10),
-                        [this] { return open_; });
+  /// Block by block, each waiting at the gate.
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<cache::Frame> frames) override {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++fetches_started_;
+        started_cv_.notify_all();
+        gate_cv_.wait_for(lock, std::chrono::seconds(10),
+                          [this] { return open_; });
+      }
+      fetches_.fetch_add(1, std::memory_order_relaxed);
+      DBTOUCH_RETURN_IF_ERROR(inner_.ReadBlocks(
+          first_block + static_cast<std::int64_t>(i), frames.subspan(i, 1)));
     }
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    return inner_.Fetch(block);
+    return Status::OK();
   }
 
   void OpenGate() {

@@ -256,10 +256,16 @@ class SlowTierProvider final : public cache::BlockProvider {
   }
   bool async() const override { return true; }
 
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(kFetchLatencyMs));
-    return inner_.Fetch(block);
+  /// Block by block, each paying the latency.
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<cache::Frame> frames) override {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(kFetchLatencyMs));
+      DBTOUCH_RETURN_IF_ERROR(inner_.ReadBlocks(
+          first_block + static_cast<std::int64_t>(i), frames.subspan(i, 1)));
+    }
+    return Status::OK();
   }
 
  private:

@@ -14,6 +14,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "block_payloads.h"
 #include "cache/block_provider.h"
 #include "cache/buffer_manager.h"
 #include "cache/file_block_provider.h"
@@ -48,6 +49,8 @@ using storage::RowId;
 using storage::SpillOptions;
 using storage::Table;
 using storage::TableSpiller;
+using testing_util::ReadBlockPayload;
+using testing_util::ReadBlockPayloads;
 using touch::RectCm;
 
 /// Scratch directory, removed with everything in it at scope exit.
@@ -253,20 +256,20 @@ TEST(PaxFileFormatTest, AlignedExtentsRoundTripWithDenseRangedReads) {
 
   // Per-block payloads are byte-identical despite the padded placement.
   const std::int64_t num_blocks = (*plain_provider)->geometry().num_blocks();
-  std::vector<std::byte> concatenated;
+  std::vector<std::vector<std::byte>> singles;
   for (std::int64_t b = 0; b < num_blocks; ++b) {
-    const auto want = (*plain_provider)->Fetch(b);
-    const auto got = (*aligned_provider)->Fetch(b);
+    const auto want = ReadBlockPayload(**plain_provider, b);
+    const auto got = ReadBlockPayload(**aligned_provider, b);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, *want) << "block " << b;
-    concatenated.insert(concatenated.end(), want->begin(), want->end());
+    singles.push_back(*want);
   }
-  // A ranged read over the aligned file compacts the inter-extent padding
-  // away: callers always get dense back-to-back payloads.
-  const auto range = (*aligned_provider)->ReadRange(0, num_blocks);
+  // A ranged read over the aligned file leaves the inter-extent padding
+  // in each frame's slack: every frame holds exactly its block's payload.
+  const auto range = ReadBlockPayloads(**aligned_provider, 0, num_blocks);
   ASSERT_TRUE(range.ok());
-  EXPECT_EQ(*range, concatenated);
+  EXPECT_EQ(*range, singles);
 }
 
 TEST(PaxFileFormatTest, DirectIoSpillRoundTripsWithGracefulFallback) {
@@ -298,8 +301,8 @@ TEST(PaxFileFormatTest, DirectIoSpillRoundTripsWithGracefulFallback) {
       FileBlockProvider::Open(spiller.PaxPathFor("fat"));
   ASSERT_TRUE(buffered.ok());
   for (std::int64_t b = 0; b < (*direct)->geometry().num_blocks(); ++b) {
-    const auto got = (*direct)->Fetch(b);
-    const auto want = (*buffered)->Fetch(b);
+    const auto got = ReadBlockPayload(**direct, b);
+    const auto want = ReadBlockPayload(**buffered, b);
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(*got, *want) << "block " << b;

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "block_payloads.h"
 #include "cache/block_provider.h"
 #include "cache/buffer_manager.h"
 #include "core/kernel.h"
@@ -49,6 +50,7 @@ using storage::RowId;
 using storage::SpillOptions;
 using storage::Table;
 using storage::TableSpiller;
+using testing_util::ReadBlockPayload;
 using touch::RectCm;
 
 class ScratchDir {
@@ -329,7 +331,7 @@ TEST(ReclaimTest, ReclaimWaitsForInFlightRawReadsThenStaleReadersFailClean) {
 
   // A stale binding: the provider sessions used before the spill.
   auto stale = std::make_shared<cache::TableBlockProvider>(table, 0, 1'024);
-  ASSERT_TRUE(stale->Fetch(0).ok());
+  ASSERT_TRUE(ReadBlockPayload(*stale, 0).ok());
 
   // Hammer raw reads while the spill+reclaim runs. Each read either sees
   // the matrix (and must be correct) or the released state (and must be
@@ -341,7 +343,7 @@ TEST(ReclaimTest, ReclaimWaitsForInFlightRawReadsThenStaleReadersFailClean) {
     std::int64_t block = 0;
     while (!stop.load(std::memory_order_acquire)) {
       const auto payload =
-          stale->Fetch(block % stale->geometry().num_blocks());
+          ReadBlockPayload(*stale, block % stale->geometry().num_blocks());
       if (payload.ok()) {
         // Spot-check: sequence data, first value of block b.
         std::int64_t first_value = 0;
