@@ -1,7 +1,6 @@
 #include "cache/buffer_manager.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "common/macros.h"
@@ -145,15 +144,27 @@ class BufferManager::Source : public storage::PagedColumnSource {
     if (!provider_->async()) {
       return Status::OK();
     }
-    Status status = Status::OK();
-    ForEachMissingRun(first_block, last_block,
-                      [&](std::int64_t run_start, std::int64_t count) {
-                        if (status.ok()) {
-                          status = FetchRun(run_start, count);
-                        }
-                        return status.ok();
-                      });
-    return status;
+    // Each maximal run of blocks not resident in the cache is one read.
+    first_block = std::max<std::int64_t>(first_block, 0);
+    last_block = std::min<std::int64_t>(last_block, num_blocks() - 1);
+    std::int64_t run_start = -1;
+    for (std::int64_t block = first_block; block <= last_block + 1;
+         ++block) {
+      const bool missing =
+          block <= last_block &&
+          !manager_->cache_.Contains(BlockKey{owner_, block});
+      if (missing) {
+        if (run_start < 0) {
+          run_start = block;
+        }
+        continue;
+      }
+      if (run_start >= 0) {
+        DBTOUCH_RETURN_IF_ERROR(FetchRun(run_start, block - run_start));
+        run_start = -1;
+      }
+    }
+    return Status::OK();
   }
 
   bool RequestPrefetch(std::int64_t block) override {
@@ -170,31 +181,6 @@ class BufferManager::Source : public storage::PagedColumnSource {
     // no-op for the caller's budget, same as an already-resident block.
     return queue->Enqueue(key, provider_, block, FetchPriority::kPrefetch,
                           nullptr);
-  }
-
-  /// Ranged warm-up: each non-resident stretch of the predicted path goes
-  /// to the queue as ONE pre-formed ranged ticket (one ReadBlocks when it
-  /// pops), so the extrapolation horizon — not pop-time re-merging or its
-  /// max_coalesce_blocks cap — decides the read size.
-  std::int64_t RequestPrefetchRange(std::int64_t first_block,
-                                    std::int64_t last_block,
-                                    std::int64_t max_new_blocks) override {
-    if (!may_block() || max_new_blocks <= 0) {
-      return 0;
-    }
-    FetchQueue* queue = manager_->fetch_queue();
-    DBTOUCH_CHECK(queue != nullptr);
-    std::int64_t issued = 0;
-    ForEachMissingRun(
-        first_block, last_block,
-        [&](std::int64_t run_start, std::int64_t count) {
-          const std::int64_t len =
-              std::min<std::int64_t>(count, max_new_blocks - issued);
-          issued += static_cast<std::int64_t>(
-              queue->EnqueueRange(owner_, provider_, run_start, len));
-          return issued < max_new_blocks;
-        });
-    return issued;
   }
 
  protected:
@@ -217,41 +203,15 @@ class BufferManager::Source : public storage::PagedColumnSource {
   std::shared_ptr<BlockProvider> provider_;
 
  private:
-  /// Walks [first_block, last_block] (clamped) and invokes `fn(start,
-  /// count)` for each maximal run of blocks not resident in the cache —
-  /// the shared skeleton of the blocking Preload and the ranged warm-up
-  /// path. `fn` returns false to stop early (budget exhausted, error).
-  void ForEachMissingRun(
-      std::int64_t first_block, std::int64_t last_block,
-      const std::function<bool(std::int64_t, std::int64_t)>& fn) {
-    first_block = std::max<std::int64_t>(first_block, 0);
-    last_block = std::min<std::int64_t>(last_block, num_blocks() - 1);
-    std::int64_t run_start = -1;
-    for (std::int64_t block = first_block; block <= last_block + 1;
-         ++block) {
-      const bool missing =
-          block <= last_block &&
-          !manager_->cache_.Contains(BlockKey{owner_, block});
-      if (missing) {
-        if (run_start < 0) {
-          run_start = block;
-        }
-        continue;
-      }
-      if (run_start >= 0) {
-        const std::int64_t start = run_start;
-        run_start = -1;
-        if (!fn(start, block - start)) {
-          return;
-        }
-      }
-    }
-  }
-
   /// One ranged read (with the shared retry policy) for a missing run,
   /// its frames staged per block. Demand-staged: a gesture is about to
   /// pin every one of these.
   Status FetchRun(std::int64_t first_block, std::int64_t count) {
+    // Declared before the frames: it outlives them and the inserts.
+    const FramePool::ReadScope reading(
+        manager_->cache_.frames(),
+        count * static_cast<std::int64_t>(
+                    AlignUpFrame(provider_->geometry().frame_bytes())));
     std::vector<Frame> frames;
     frames.reserve(static_cast<std::size_t>(count));
     for (std::int64_t i = 0; i < count; ++i) {

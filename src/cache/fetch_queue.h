@@ -7,7 +7,7 @@
 // thread pool:
 //
 //   TryPinBlock (miss) --> Enqueue(demand) ---+
-//   Prefetcher slide path --> Enqueue(prefetch)+--> fetcher threads
+//   predicted touches --> Enqueue(prefetch)----+--> fetcher threads
 //                                              |      provider->ReadBlocks
 //                                              |      into the cache's
 //                                              |      frames (bounded
@@ -20,9 +20,9 @@
 //                                                            unparks)
 //
 // Priorities: demand fetches (a session is parked on the answer) always
-// pop before prefetch warm-ups (the extrapolated slide path); enqueueing a
-// demand request for a block already queued at prefetch priority upgrades
-// it in place. Requests for one block coalesce into a single fetch no
+// pop before prefetch warm-ups (blocks predicted touches will read);
+// enqueueing a demand request for a block already queued at prefetch
+// priority upgrades it in place. Requests for one block coalesce into a single fetch no
 // matter how many waiters pile on.
 //
 // Failure contract: a fetch error is data, not an invariant violation.
@@ -59,7 +59,7 @@ class TraceRecorder;
 namespace dbtouch::cache {
 
 enum class FetchPriority : std::uint8_t {
-  kPrefetch = 0,  // Warm-up along the extrapolated slide path.
+  kPrefetch = 0,  // Warm-up of a block a predicted touch will read.
   kDemand = 1,    // A quantum is suspended on this block.
 };
 
@@ -97,10 +97,6 @@ struct FetchQueueStats {
   /// session parked on them closed, so the read was capped at the attempt
   /// already running instead of a full retry budget.
   std::int64_t aborted = 0;
-  /// Pre-formed ranged warm-up tickets (EnqueueRange runs of >= 2 blocks):
-  /// the extrapolator's horizon expressed as single ReadBlocks calls, no
-  /// pop-time re-merging involved.
-  std::int64_t prefetch_ranges = 0;
   /// Coalesced provider calls: ReadBlocks calls spanning >= 2
   /// adjacent blocks, and the blocks they covered. completed counts every
   /// block, so (completed - ranged_blocks + ranged_reads) is the number
@@ -169,20 +165,6 @@ class FetchQueue {
                std::int64_t block, FetchPriority priority, Completion done,
                std::uint64_t tag = 0);
 
-  /// Enqueues blocks [first_block, first_block + count) of `owner` as
-  /// pre-formed ranged warm-up tickets: each run of blocks with no
-  /// existing request becomes ONE prefetch ticket whose fetch is a single
-  /// provider ReadBlocks — the predicted slide path rides one backing read
-  /// sized by the horizon, with no pop-time re-merging (and no
-  /// max_coalesce_blocks cap). Blocks already queued or in flight are
-  /// skipped (counted as coalesced). A later demand Enqueue for a block
-  /// inside a still-queued ticket splits the ticket around it, so demand
-  /// never waits on (or inflates) a warm-up range. Fire-and-forget like
-  /// RequestPrefetch; returns the number of blocks actually enqueued.
-  std::size_t EnqueueRange(std::uint64_t owner,
-                           std::shared_ptr<BlockProvider> provider,
-                           std::int64_t first_block, std::int64_t count);
-
   /// Retracts `tag`'s tickets (a session closed). Waiters of still-queued
   /// requests fail with Aborted, and a demand request left with no
   /// waiters is dropped entirely, so closed sessions stop consuming
@@ -232,15 +214,6 @@ class FetchQueue {
     std::int64_t block = 0;
     FetchPriority priority = FetchPriority::kPrefetch;
     bool in_flight = false;
-    /// Pre-formed ranged ticket (EnqueueRange): on the head request, how
-    /// many consecutive blocks [block, block + range_count) one ReadBlocks
-    /// serves. 1 = an ordinary single-block request.
-    std::int64_t range_count = 1;
-    /// Non-head blocks of a pre-formed ticket: only the head sits in the
-    /// prefetch lane; members are findable here (so demand enqueues can
-    /// coalesce or split) but never popped directly.
-    bool range_member = false;
-    std::int64_t head_block = 0;
     /// Cancellation latch shared by every request of one in-flight fetch;
     /// set by CancelTagged, read between retry attempts.
     std::shared_ptr<std::atomic<bool>> abort;
@@ -253,16 +226,8 @@ class FetchQueue {
   /// Extends the popped `key` with queued adjacent same-owner requests
   /// (same provider, consecutive block indices, not in flight), removing
   /// them from their lanes and marking every gathered request in flight.
-  /// A pre-formed ranged ticket is taken whole instead (its size was set
-  /// by the prefetch horizon, not max_coalesce_blocks) and never extended.
   /// Returns the keys in ascending block order; size 1 = no coalescing.
   std::vector<BlockKey> GatherRangeLocked(const BlockKey& key);
-  /// Carves `key` out of the pre-formed ranged ticket covering it (no-op
-  /// for ordinary requests): the ticket splits into up to two shorter
-  /// tickets around `key`, which becomes a standalone queued-nowhere
-  /// request the caller may re-lane. Only valid while nothing is in
-  /// flight for the ticket.
-  void DetachFromRangeLocked(const BlockKey& key);
   /// Completes `keys` (all in flight, ascending adjacent blocks) with the
   /// outcome of one fetch: on success frame i — block keys[i] — is
   /// inserted into the cache before any waiter runs; on failure the

@@ -64,7 +64,7 @@ Frame FramePool::Acquire(std::size_t bytes) {
     }
     // A miss: spares of other capacities cannot serve it, so they give
     // way (oldest first) before the pool maps past its bound.
-    while (stats_.mapped_bytes + size > keep_bytes_ && !spares_.empty()) {
+    while (stats_.mapped_bytes + size > BoundLocked() && !spares_.empty()) {
       Unmap(spares_.front().second, spares_.front().first);
       stats_.mapped_bytes -= static_cast<std::int64_t>(spares_.front().first);
       spares_.erase(spares_.begin());
@@ -87,13 +87,26 @@ void FramePool::Release(std::byte* data, std::size_t capacity) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stats_.in_use_bytes -= size;
-    if (stats_.mapped_bytes <= keep_bytes_) {
+    if (stats_.mapped_bytes <= BoundLocked()) {
       spares_.emplace_back(capacity, data);
       return;
     }
     stats_.mapped_bytes -= size;
   }
   Unmap(data, capacity);
+}
+
+FramePool::ReadScope::ReadScope(FramePool& pool, std::int64_t bytes)
+    : pool_(pool), bytes_(bytes) {
+  const std::lock_guard<std::mutex> lock(pool_.mu_);
+  pool_.stats_.reading_bytes += bytes_;
+  pool_.stats_.peak_reading_bytes =
+      std::max(pool_.stats_.peak_reading_bytes, pool_.stats_.reading_bytes);
+}
+
+FramePool::ReadScope::~ReadScope() {
+  const std::lock_guard<std::mutex> lock(pool_.mu_);
+  pool_.stats_.reading_bytes -= bytes_;
 }
 
 FramePoolStats FramePool::stats() const {

@@ -6,10 +6,15 @@
 // come from a FramePool the cache owns: mapped with mmap on first use
 // (never pre-touched), recycled through a free list when a block is
 // evicted or its last transient pin drops, and unmapped on release only
-// when the pool would otherwise keep more than its bound mapped. So the
-// fault path performs no heap allocation, no zero-fill and no split copy,
-// and a process serving spilled tables holds about the pool budget plus
-// the staging pad, not an allocator arena grown by payload churn.
+// when the pool would otherwise keep more than its bound mapped. The
+// bound admits the frames of the reads in flight: a read's frames are
+// mapped on top of a full pool, and the evictions its inserts and claims
+// cause release as many frames, which must stay on the free list for the
+// next read rather than be unmapped and mapped again. So the fault path
+// performs no heap allocation, no zero-fill and no split copy, and a
+// process serving spilled tables holds about the pool budget plus the
+// staging pad plus the reads in flight, not an allocator arena grown by
+// payload churn.
 
 #ifndef DBTOUCH_CACHE_FRAME_H_
 #define DBTOUCH_CACHE_FRAME_H_
@@ -75,12 +80,18 @@ struct FramePoolStats {
   std::int64_t in_use_bytes = 0;
   /// Frames mapped over the pool's lifetime (free-list misses).
   std::int64_t maps = 0;
+  /// Bytes of frames held by reads in flight (open ReadScopes) now, and
+  /// the high-water mark.
+  std::int64_t reading_bytes = 0;
+  std::int64_t peak_reading_bytes = 0;
 };
 
 /// Thread-safe source of frames. Spares are kept per capacity for reuse
-/// while the pool maps at most `keep_bytes`; a frame released beyond that
-/// is unmapped, and a miss that would cross it first unmaps spares of
-/// other capacities (they cannot serve it).
+/// while the pool maps at most its bound: `keep_bytes` plus the most
+/// frame bytes reads have held in flight at once (a read on a full pool
+/// maps that much beyond `keep_bytes` anyway). A frame released beyond
+/// the bound is unmapped, and a miss that would cross it first unmaps
+/// spares of other capacities (they cannot serve it).
 class FramePool {
  public:
   explicit FramePool(std::int64_t keep_bytes) : keep_bytes_(keep_bytes) {}
@@ -95,11 +106,29 @@ class FramePool {
   /// other allocation would.
   Frame Acquire(std::size_t bytes);
 
+  /// Counts `bytes` of frames as held by a read in flight while it lives
+  /// (see the bound above). A reader opens one before it acquires the
+  /// read's frames and closes it once the frames went into the cache.
+  class ReadScope {
+   public:
+    ReadScope(FramePool& pool, std::int64_t bytes);
+    ~ReadScope();
+    ReadScope(const ReadScope&) = delete;
+    ReadScope& operator=(const ReadScope&) = delete;
+
+   private:
+    FramePool& pool_;
+    const std::int64_t bytes_;
+  };
+
   FramePoolStats stats() const;
 
  private:
   friend class Frame;
   void Release(std::byte* data, std::size_t capacity);
+  std::int64_t BoundLocked() const {
+    return keep_bytes_ + stats_.peak_reading_bytes;
+  }
 
   const std::int64_t keep_bytes_;
   mutable std::mutex mu_;

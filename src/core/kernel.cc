@@ -832,29 +832,74 @@ void Kernel::MaybePrefetch(ObjectState* obj, RowId row,
   if (!config_.prefetch_enabled || !source->may_block()) {
     return;
   }
-  obj->extrapolator.Observe(event.timestamp_us, row);
+  prefetch::GestureExtrapolator& extrapolator = obj->extrapolator;
+  extrapolator.Observe(event.timestamp_us, row);
   // Close the warm-up feedback loop: the cache's claimed-before-eviction
   // score scales the horizon, so a stream of warm-ups dying unclaimed
   // shortens the reach instead of churning the staging pad forever.
-  obj->extrapolator.ObserveClaimRate(
+  extrapolator.ObserveClaimRate(
       shared_->buffer_manager().prefetch_claim_rate());
-  const prefetch::RowRange range = obj->extrapolator.PredictRange(
-      event.timestamp_us,
-      config_.prefetch_horizon_s * obj->extrapolator.horizon_scale(),
-      source->row_count());
-  if (range.empty()) {
+  // What one event at row r reads from the source: the rows
+  // [r - reach, r + reach]. A summary the level policy serves from a
+  // sample level reads no base block, and at this speed its next events
+  // would not either.
+  std::int64_t reach = 0;
+  if (obj->action.kind == ActionKind::kSummary) {
+    if (ChooseLevelFor(*obj, event) > 0) {
+      return;
+    }
+    reach = SummaryBandK(*obj);
+  }
+  const std::int64_t n = source->row_count();
+  // Only real enqueues spend the per-touch budget: blocks already
+  // resident, queued or in flight are free.
+  std::int64_t budget = config_.max_prefetch_blocks_per_touch;
+  const auto request = [&](std::int64_t block) {
+    if (budget > 0 && source->RequestPrefetch(block)) {
+      --budget;
+      ++stats_.prefetch_requests;
+    }
+  };
+  const auto first_block = [&](RowId r) {
+    return source->BlockFor(std::max<RowId>(r - reach, 0));
+  };
+  const auto last_block = [&](RowId r) {
+    return source->BlockFor(std::min<RowId>(r + reach, n - 1));
+  };
+  const double horizon_s =
+      config_.prefetch_horizon_s * extrapolator.horizon_scale();
+  if (extrapolator.IsPaused(event.timestamp_us)) {
+    // No direction to extrapolate: the symmetric neighbourhood, nearest
+    // blocks first so the budget keeps it symmetric.
+    const prefetch::RowRange range =
+        extrapolator.PredictRange(event.timestamp_us, horizon_s, n);
+    const std::int64_t lo = first_block(range.first);
+    const std::int64_t hi = last_block(range.last);
+    const std::int64_t center = source->BlockFor(row);
+    for (std::int64_t d = 0;
+         budget > 0 && (center - d >= lo || center + d <= hi); ++d) {
+      if (center + d <= hi) {
+        request(center + d);
+      }
+      if (d > 0 && center - d >= lo) {
+        request(center - d);
+      }
+    }
     return;
   }
-  // The whole predicted path goes down as ranged warm-up tickets: the
-  // horizon expresses itself in the read size (one backing read per cold
-  // stretch) instead of block-by-block enqueues re-merged at pop time.
-  // Only real enqueues spend the per-touch budget: during a steady slide
-  // the head of the predicted range is already resident, and the cold
-  // tail is exactly what needs warming.
-  const std::int64_t issued = source->RequestPrefetchRange(
-      source->BlockFor(range.first), source->BlockFor(range.last),
-      config_.max_prefetch_blocks_per_touch);
-  stats_.prefetch_requests += issued;
+  // Only the blocks the next events will read, nearest first. A fast
+  // sweep's events land blocks apart and the stretch between them is never
+  // read; a slow slide's events read adjacent blocks, so their union is
+  // the contiguous stretch ahead. Adjacent enqueues merge into one ranged
+  // read when the fetcher pops them.
+  for (const RowId next : extrapolator.PredictTouches(
+           event.timestamp_us, horizon_s, device_.config().touch_event_hz,
+           n)) {
+    for (std::int64_t block = first_block(next);
+         block <= last_block(next) && budget > 0; ++block) {
+      request(block);
+    }
+  }
 }
 
 void Kernel::Replay(const sim::GestureTrace& trace) {
@@ -872,6 +917,9 @@ void Kernel::OnGesture(const GestureEvent& event) {
     applied_pinch_scale_ = 1.0;
     if (gesture_target_ != nullptr) {
       gesture_target_->rotation_fired_this_gesture = false;
+      // A new gesture's direction is unknown: the last one's steps must
+      // not aim this one's warm-ups.
+      gesture_target_->extrapolator.Reset();
     }
   }
   // Taps never see a kBegan (they resolve at finger-up), so target them

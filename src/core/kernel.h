@@ -98,9 +98,15 @@ struct KernelConfig {
   bool non_blocking_faults = false;
   /// Prefetch along the extrapolated slide path (Section 2.6): slide
   /// steps over a slow-tier column enqueue low-priority warm-up fetches
-  /// for the blocks the finger is predicted to reach within the horizon.
+  /// for the blocks the touch events predicted within the horizon will
+  /// read (ceil(horizon * touch_event_hz) events ahead, at least one).
   bool prefetch_enabled = true;
-  double prefetch_horizon_s = 0.25;
+  /// Look-ahead, scaled by the claim-rate feedback (x0.5 to x2). One
+  /// registered event at the device's 15 Hz: warm-ups wait in the cache's
+  /// staging pad (budget / 8 over 8 shards, one 512 KiB PAX block a shard
+  /// on a 32 MiB pool), where other sessions' inserts evict them, so a
+  /// warm-up aimed several events ahead mostly dies unclaimed.
+  double prefetch_horizon_s = 1.0 / 15.0;
   /// Warm-up fetches issued per slide step at most (bounds queue growth
   /// when the extrapolator predicts a long reach).
   int max_prefetch_blocks_per_touch = 8;
@@ -134,8 +140,8 @@ struct KernelStats {
   std::int64_t max_touch_wall_ns = 0;
   /// Async read path: quanta suspended on cold slow-tier blocks, gesture
   /// executions shed because a backing-store read failed past its bounded
-  /// retries, and warm-up fetches requested along the extrapolated slide
-  /// path.
+  /// retries, and warm-up fetches requested for the blocks predicted
+  /// touch events will read.
   std::int64_t suspensions = 0;
   std::int64_t fetch_errors = 0;
   std::int64_t prefetch_requests = 0;
@@ -380,7 +386,8 @@ class Kernel {
   /// execution and the residency probe so they can never diverge.
   std::int64_t SummaryBandK(const ObjectState& obj) const;
   /// Observes the slide for the object's extrapolator and requests
-  /// low-priority warm-up fetches along the predicted path.
+  /// low-priority warm-up fetches for the blocks the next predicted touch
+  /// events will read (the symmetric neighbourhood while paused).
   void MaybePrefetch(ObjectState* obj, storage::RowId row,
                      const gesture::GestureEvent& event);
   void HandleTap(const gesture::GestureEvent& event, ObjectState* obj);

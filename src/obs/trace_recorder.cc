@@ -75,17 +75,19 @@ void TraceRecorder::Record(SpanStage stage, std::int64_t quantum,
       return;
     }
   } while (!slot.ticket.compare_exchange_weak(seen, kWriting,
+                                              std::memory_order_acquire,
                                               std::memory_order_relaxed));
-  // Orders the invalidating claim before the payload stores: a reader
-  // that sees any new payload field also sees the ticket moved.
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.t_us.store(NowUs(), std::memory_order_relaxed);
-  slot.quantum.store(quantum, std::memory_order_relaxed);
-  slot.session.store(session, std::memory_order_relaxed);
+  // Acquire on the claim orders this event's payload stores after those
+  // of the event it replaces. Each payload store is a release: a reader
+  // whose (acquire) payload load sees a value of this event also sees
+  // the claim that preceded it, so its ticket re-check cannot pass.
+  slot.t_us.store(NowUs(), std::memory_order_release);
+  slot.quantum.store(quantum, std::memory_order_release);
+  slot.session.store(session, std::memory_order_release);
   slot.stage.store(static_cast<std::uint8_t>(stage),
-                   std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+                   std::memory_order_release);
+  slot.a.store(a, std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
   slot.ticket.store(index + 1, std::memory_order_release);
 }
 
@@ -130,17 +132,16 @@ std::vector<SpanEvent> TraceRecorder::Snapshot() const {
     if (before == 0 || before == kWriting) {
       continue;  // Never written, or being written.
     }
+    // Acquire payload loads: one that sees a newer writer's store also
+    // sees that writer's claim, so the re-check below catches the tear.
     SpanEvent event;
-    event.t_us = slot.t_us.load(std::memory_order_relaxed);
-    event.quantum = slot.quantum.load(std::memory_order_relaxed);
-    event.session = slot.session.load(std::memory_order_relaxed);
+    event.t_us = slot.t_us.load(std::memory_order_acquire);
+    event.quantum = slot.quantum.load(std::memory_order_acquire);
+    event.session = slot.session.load(std::memory_order_acquire);
     event.stage =
-        static_cast<SpanStage>(slot.stage.load(std::memory_order_relaxed));
-    event.a = slot.a.load(std::memory_order_relaxed);
-    event.b = slot.b.load(std::memory_order_relaxed);
-    // Orders the payload loads before the re-check: a payload store seen
-    // above makes the writer's claim visible here.
-    std::atomic_thread_fence(std::memory_order_acquire);
+        static_cast<SpanStage>(slot.stage.load(std::memory_order_acquire));
+    event.a = slot.a.load(std::memory_order_acquire);
+    event.b = slot.b.load(std::memory_order_acquire);
     const std::uint64_t after = slot.ticket.load(std::memory_order_relaxed);
     if (after != before) {
       continue;  // Torn: a writer replaced the slot mid-copy.

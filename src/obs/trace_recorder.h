@@ -18,15 +18,17 @@
 // off), so the entire subsystem is one predictable branch per hook when
 // disabled; the ring is not even allocated.
 //
-// Consistency: a writer claims its slot by CASing the slot's ticket to a
-// "writing" mark, stores every SpanEvent field (relaxed atomics) after a
-// release fence, and publishes the event's ticket with a release store.
-// Two writers a ring lap apart never fill one slot at once: the one that
+// Consistency: a writer claims its slot by CASing (acquire) the slot's
+// ticket to a "writing" mark, stores every SpanEvent field with a release
+// store, and publishes the event's ticket with a release store. Two
+// writers a ring lap apart never fill one slot at once: the one that
 // loses the claim, or whose event is older than the slot's, drops its
 // event and counts it in lost(). Tickets in a slot therefore only grow,
-// and Snapshot() — ticket load, payload copy, acquire fence, ticket
-// re-load — discards any slot whose ticket moved: a torn read is dropped,
-// never misreported.
+// and Snapshot() — ticket load, acquire payload loads, ticket re-load —
+// discards any slot whose ticket moved: a payload load that sees a newer
+// writer's store also sees that writer's claim, so a torn read is
+// dropped, never misreported. Only ordered atomic operations carry the
+// protocol (no standalone fences), so ThreadSanitizer checks it.
 //
 // Slow-quantum exemplars: completed quanta whose end-to-end latency tops
 // the retained set are kept separately (a small mutex-guarded top-K — the
@@ -111,7 +113,7 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Hot path: one fetch_add, one CAS + seven relaxed stores. Safe from
+  /// Hot path: one fetch_add, one CAS + seven release stores. Safe from
   /// any thread.
   void Record(SpanStage stage, std::int64_t quantum, std::int64_t session,
               std::int64_t a = 0, std::int64_t b = 0);

@@ -80,7 +80,7 @@ struct FetchStatsSnapshot {
   std::int64_t suspended_quanta = 0;
   std::int64_t resumed_quanta = 0;
   /// Demand fetches (a session parked on the block) and low-priority
-  /// prefetch warm-ups along the extrapolated slide path.
+  /// prefetch warm-ups of blocks predicted touches will read.
   std::int64_t demand_fetches = 0;
   std::int64_t prefetch_fetches = 0;
   /// Transient-error retries: async fetcher retries plus retries spent by
@@ -95,9 +95,6 @@ struct FetchStatsSnapshot {
   /// In-flight fetches whose retry loop a session close cut short (capped
   /// at one attempt instead of a full retry budget).
   std::int64_t aborted_fetches = 0;
-  /// Pre-formed ranged warm-up tickets issued along extrapolated slide
-  /// paths (>= 2 blocks riding one ReadBlocks each).
-  std::int64_t prefetch_ranges = 0;
   /// Suspend round trips saved by multi-attribute stalls: a fat-table
   /// quantum whose probe missed on N sources suspends once, not N times;
   /// each such suspend adds N - 1 here.

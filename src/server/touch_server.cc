@@ -500,9 +500,16 @@ void TouchServer::WorkerLoop() {
   while (auto task = scheduler_.PopRunnable()) {
     const auto session = sessions_.Get(task->session_id);
     if (!session.ok()) {
-      // Session closed while its tasks were in flight: purge whatever a
-      // racing submit re-queued and release the busy mark.
-      scheduler_.DropSession(task->session_id);
+      // Session closed while its tasks were in flight: a quantum that was
+      // executing at the close and then parked on a fetch, or a racing
+      // submit, re-queued after the close purged (and counted) the queue.
+      // Purge whatever is left, count it and this quantum as dropped
+      // (refinements live outside the accounting), and release the busy
+      // mark.
+      const std::size_t dropped =
+          scheduler_.DropSession(task->session_id) + (task->refine ? 0 : 1);
+      total_dropped_.fetch_add(static_cast<std::int64_t>(dropped),
+                               std::memory_order_relaxed);
       scheduler_.OnTaskDone(task->session_id);
       continue;
     }
@@ -938,7 +945,6 @@ ServerStatsSnapshot TouchServer::stats() const {
         total_shed_on_fetch_error_.load(std::memory_order_relaxed);
     snapshot.fetch.cancelled_fetches = fetch.cancelled;
     snapshot.fetch.aborted_fetches = fetch.aborted;
-    snapshot.fetch.prefetch_ranges = fetch.prefetch_ranges;
     snapshot.fetch.batched_stall_attrs =
         total_batched_stall_attrs_.load(std::memory_order_relaxed);
     snapshot.fetch.ranged_reads =

@@ -307,6 +307,36 @@ TEST(FramePoolTest, RecyclesSparesWithinItsBoundAndUnmapsBeyond) {
   EXPECT_EQ(stats.mapped_bytes, 2 * kFrame + kPage);
 }
 
+TEST(FramePoolTest, TheBoundAdmitsTheFramesOfReadsInFlight) {
+  constexpr auto kFrame = static_cast<std::int64_t>(kFrameAlignment);
+  FramePool pool(/*keep_bytes=*/2 * kFrame);
+  std::vector<Frame> held;
+  held.push_back(pool.Acquire(kFrame));
+  held.push_back(pool.Acquire(kFrame));  // The pool is full.
+  {
+    // A read maps its frame on top of the full pool; the eviction its
+    // insert causes releases one: that frame stays a spare.
+    const FramePool::ReadScope reading(pool, kFrame);
+    held.push_back(pool.Acquire(kFrame));
+    held.erase(held.begin());
+  }
+  FramePoolStats stats = pool.stats();
+  EXPECT_EQ(stats.maps, 3);
+  EXPECT_EQ(stats.mapped_bytes, 3 * kFrame);
+  EXPECT_EQ(stats.reading_bytes, 0);
+  EXPECT_EQ(stats.peak_reading_bytes, kFrame);
+  // So do frames released after the read (a claim's eviction): the next
+  // read reuses one instead of mapping again.
+  held.erase(held.begin());
+  {
+    const FramePool::ReadScope reading(pool, kFrame);
+    held.push_back(pool.Acquire(kFrame));
+  }
+  stats = pool.stats();
+  EXPECT_EQ(stats.maps, 3);
+  EXPECT_EQ(stats.peak_mapped_bytes, 3 * kFrame);
+}
+
 // ---- BufferManager over block providers -----------------------------------
 
 std::shared_ptr<storage::Table> SequenceTable(std::int64_t rows) {
@@ -1111,80 +1141,6 @@ TEST(FetchQueueTest, CancelTaggedAbortsInFlightRetryLoop) {
   EXPECT_EQ(stats.aborted, 1);
   EXPECT_EQ(stats.retries, 0);
   EXPECT_EQ(stats.failures, 1);
-}
-
-TEST(FetchQueueTest, EnqueueRangePopsAsOnePreFormedRangedRead) {
-  BlockCache::Config cache_config = SmallCache(false, 16);
-  cache_config.staged_cap_bytes = 16 * kBlockBytes;
-  BlockCache cache(cache_config);
-  FetchQueueConfig config;
-  config.num_fetchers = 1;
-  // Coalescing OFF: a pre-formed ranged ticket needs no pop-time
-  // re-merging — the horizon sized it at enqueue time.
-  config.max_coalesce_blocks = 1;
-  FetchQueue queue(config, cache);
-  auto provider = std::make_shared<RangedGatedProvider>();
-
-  // Hold the fetcher on an unrelated block so the ticket is popped whole.
-  queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,
-                nullptr);
-  provider->AwaitCallEntered(1);
-  EXPECT_EQ(queue.EnqueueRange(1, provider, 3, 5), 5u);
-  // Re-requesting overlapping blocks coalesces into the queued ticket.
-  EXPECT_EQ(queue.EnqueueRange(1, provider, 4, 2), 0u);
-  provider->OpenGate();
-  queue.WaitIdle();
-
-  const std::vector<RangedGatedProvider::Call> calls = provider->calls();
-  ASSERT_EQ(calls.size(), 2u);
-  EXPECT_EQ(calls[1].first, 3);
-  EXPECT_EQ(calls[1].count, 5);  // ONE ReadBlocks despite the merge cap.
-  for (std::int64_t b = 3; b <= 7; ++b) {
-    EXPECT_TRUE(cache.Contains(BlockKey{1, b})) << "block " << b;
-  }
-  const FetchQueueStats stats = queue.stats();
-  EXPECT_EQ(stats.prefetch_enqueued, 5);
-  EXPECT_EQ(stats.prefetch_ranges, 1);
-  EXPECT_EQ(stats.ranged_reads, 1);
-  EXPECT_EQ(stats.ranged_blocks, 5);
-  EXPECT_EQ(stats.coalesced, 2);
-}
-
-TEST(FetchQueueTest, DemandEnqueueSplitsQueuedPrefetchRange) {
-  BlockCache::Config cache_config = SmallCache(false, 16);
-  cache_config.staged_cap_bytes = 16 * kBlockBytes;
-  BlockCache cache(cache_config);
-  FetchQueueConfig config;
-  config.num_fetchers = 1;
-  config.max_coalesce_blocks = 1;
-  FetchQueue queue(config, cache);
-  auto provider = std::make_shared<RangedGatedProvider>();
-
-  queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,
-                nullptr);
-  provider->AwaitCallEntered(1);
-  EXPECT_EQ(queue.EnqueueRange(1, provider, 0, 4), 4u);  // Blocks 0..3.
-  // A session faults on block 2: it must pop block-sized in the demand
-  // lane, ahead of — and carved out of — the warm-up ticket.
-  Status demand_status = Status::Internal("never fired");
-  queue.Enqueue(BlockKey{1, 2}, provider, 2, FetchPriority::kDemand,
-                [&demand_status](const Status& s) { demand_status = s; });
-  provider->OpenGate();
-  queue.WaitIdle();
-
-  EXPECT_TRUE(demand_status.ok());
-  const std::vector<RangedGatedProvider::Call> calls = provider->calls();
-  ASSERT_EQ(calls.size(), 4u);
-  EXPECT_EQ(calls[1].first, 2);  // Demand first, alone.
-  EXPECT_EQ(calls[1].count, 1);
-  EXPECT_EQ(calls[2].first, 0);  // Left remainder of the ticket.
-  EXPECT_EQ(calls[2].count, 2);
-  EXPECT_EQ(calls[3].first, 3);  // Right remainder, re-headed.
-  EXPECT_EQ(calls[3].count, 1);
-  for (std::int64_t b = 0; b <= 3; ++b) {
-    EXPECT_TRUE(cache.Contains(BlockKey{1, b})) << "block " << b;
-  }
-  EXPECT_EQ(queue.stats().upgraded, 1);
 }
 
 // ---- HashTableCache --------------------------------------------------------

@@ -6,9 +6,13 @@
 
 #include <cmath>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cache/block_provider.h"
 #include "core/kernel.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
@@ -780,6 +784,263 @@ TEST(LevelReachTest, LevelAndZoneMapBuildsAfterRotationReadTheNewLayout) {
   const auto resident = run(/*rotate=*/false);
   ASSERT_GT(resident.size(), 10u);
   EXPECT_EQ(run(/*rotate=*/true), resident);
+}
+
+// ---- Touch-point prefetch (Section 2.6) ------------------------------------
+
+/// A slow-tier column for prefetch tests: an in-memory provider that
+/// advertises async() (so the kernel warms its blocks through the fetch
+/// queue) and logs every block it reads, split by thread: reads on the
+/// thread that built it are the blocking probe's demand faults, reads on
+/// any other thread are the fetch queue's.
+class LoggingSlowProvider final : public cache::BlockProvider {
+ public:
+  LoggingSlowProvider(std::shared_ptr<const Table> table,
+                      std::int64_t rows_per_block)
+      : inner_(std::move(table), 0, rows_per_block),
+        owner_(std::this_thread::get_id()) {}
+
+  const cache::BlockGeometry& geometry() const override {
+    return inner_.geometry();
+  }
+  const storage::Dictionary* dictionary() const override {
+    return inner_.dictionary();
+  }
+  bool async() const override { return true; }
+
+  Status ReadBlocks(std::int64_t first_block,
+                    std::span<cache::Frame> frames) override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const std::int64_t block = first_block + static_cast<std::int64_t>(i);
+        (std::this_thread::get_id() == owner_ ? demand_ : queued_)
+            .push_back(block);
+      }
+    }
+    return inner_.ReadBlocks(first_block, frames);
+  }
+
+  /// Blocks the fetch queue read (warm-ups), in read order.
+  std::vector<std::int64_t> queued() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return queued_;
+  }
+  /// Blocks the blocking probe faulted in itself.
+  std::vector<std::int64_t> demand() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return demand_;
+  }
+
+ private:
+  cache::TableBlockProvider inner_;
+  const std::thread::id owner_;
+  mutable std::mutex mu_;
+  std::vector<std::int64_t> queued_;
+  std::vector<std::int64_t> demand_;
+};
+
+/// A kernel over a 1M-row sequential column bound to a LoggingSlowProvider
+/// in 8192-row blocks, with a 10cm-tall column object at x=2..4, y=1..11.
+/// The pool holds the whole column and its staging pad every warm-up, so
+/// no warm-up is lost to capacity: what it claims is what it aimed at.
+class PrefetchFixture : public testing::Test {
+ protected:
+  static constexpr std::int64_t kColumnRows = 1'000'000;
+  static constexpr std::int64_t kRowsPerBlock = 8'192;
+
+  void Build(const ActionConfig& action, KernelConfig config = {}) {
+    config.buffer.rows_per_block = kRowsPerBlock;
+    config.buffer.budget_bytes = 64ll << 20;
+    config.buffer.staged_cap_bytes = 64ll << 20;
+    config.buffer.fetch.num_fetchers = 1;
+    kernel_ = std::make_unique<Kernel>(config);
+    std::vector<Column> cols;
+    cols.push_back(storage::GenSequenceInt64("v", kColumnRows, 0, 1));
+    auto table = *Table::FromColumns("cold", std::move(cols));
+    ASSERT_TRUE(kernel_->RegisterTable(table).ok());
+    provider_ = std::make_shared<LoggingSlowProvider>(table, kRowsPerBlock);
+    ASSERT_TRUE(
+        kernel_->shared_state()->SetColumnProvider("cold", 0, provider_).ok());
+    auto id = kernel_->CreateColumnObject("cold", "v",
+                                          RectCm{2.0, 1.0, 2.0, 10.0});
+    ASSERT_TRUE(id.ok()) << id.status();
+    ASSERT_TRUE(kernel_->SetAction(*id, action).ok());
+  }
+
+  cache::BufferManager& pool() {
+    return kernel_->shared_state()->buffer_manager();
+  }
+
+  /// Plays `trace` one event at a time; after each, the fetch queue
+  /// drains (a block read takes far less than the 66.7 ms between
+  /// events). Returns the block of each result row, in touch order.
+  std::vector<std::int64_t> Play(const sim::GestureTrace& trace) {
+    std::vector<std::int64_t> touched;
+    for (const sim::TouchEvent& event : trace.events) {
+      const std::int64_t before = kernel_->results().size();
+      kernel_->OnTouch(event);
+      pool().WaitForFetches();
+      for (std::int64_t i = before; i < kernel_->results().size(); ++i) {
+        touched.push_back(
+            kernel_->results().items()[static_cast<std::size_t>(i)].row /
+            kRowsPerBlock);
+      }
+    }
+    return touched;
+  }
+
+  TraceBuilder builder() const { return TraceBuilder(kernel_->device()); }
+
+  std::unique_ptr<Kernel> kernel_;
+  std::shared_ptr<LoggingSlowProvider> provider_;
+};
+
+TEST_F(PrefetchFixture, StridedSlideWarmsOnlyTheBlocksLaterTouchesRead) {
+  KernelConfig config;
+  // One event ahead whatever the claim-rate feedback (x0.5 to x2) does.
+  config.prefetch_horizon_s = 1.0 / 30.0;
+  Build(ActionConfig::Scan(), config);
+  // 480 device points in 1 s: 15 events exactly 32 points (61'538 rows,
+  // ~7.5 blocks) apart, so the predicted rows are exact to a row or two.
+  const sim::GestureTrace trace = builder().Slide(
+      "sweep", PointCm{3.0, 1.0}, PointCm{3.0, 1.0 + 480.0 / 52.0},
+      MotionProfile::Constant(1.0));
+  std::vector<std::int64_t> touched;
+  std::size_t warmed_before_last = 0;
+  for (const sim::TouchEvent& event : trace.events) {
+    const std::size_t warmed = provider_->queued().size();
+    const std::int64_t before = kernel_->results().size();
+    kernel_->OnTouch(event);
+    pool().WaitForFetches();
+    if (kernel_->results().size() > before) {
+      touched.push_back(kernel_->results().items().back().row /
+                        kRowsPerBlock);
+      warmed_before_last = warmed;
+    }
+  }
+  ASSERT_EQ(touched.size(), 15u);
+  const std::vector<std::int64_t> warmed = provider_->queued();
+  ASSERT_GT(warmed.size(), warmed_before_last);
+  // The last touch aims at events that never come (the finger lifts);
+  // every earlier warm-up is a block a later touch read, none between.
+  const std::set<std::int64_t> read(touched.begin(), touched.end());
+  for (std::size_t i = 0; i < warmed_before_last; ++i) {
+    EXPECT_TRUE(read.contains(warmed[i]))
+        << "warmed block " << warmed[i] << " no touch read";
+  }
+  // Each of those warm-ups was claimed by the touch it was aimed at (none
+  // died on the pad), and past the first steps, which give the
+  // extrapolator its speed, no touch faulted its block in itself.
+  const cache::BlockCacheStats stats = pool().stats();
+  EXPECT_EQ(stats.prefetch_staged_claims,
+            static_cast<std::int64_t>(warmed_before_last));
+  EXPECT_EQ(stats.prefetch_staged_evictions, 0);
+  EXPECT_EQ(static_cast<std::int64_t>(warmed.size()),
+            kernel_->stats().prefetch_requests);
+  EXPECT_EQ(provider_->demand(),
+            (std::vector<std::int64_t>{touched[0], touched[1]}));
+}
+
+TEST_F(PrefetchFixture, SlowSlideWarmsItsContiguousStretch) {
+  KernelConfig config;
+  config.prefetch_horizon_s = 0.25;  // ceil(0.25 * 15) = 4 events ahead.
+  Build(ActionConfig::Scan(), config);
+  // 2 cm in 3.5 s: about 2 device points (~0.47 blocks) per event, so the
+  // next events read adjacent blocks.
+  const sim::GestureTrace trace =
+      builder().Slide("slow", PointCm{3.0, 1.0}, PointCm{3.0, 3.0},
+                      MotionProfile::Constant(3.5));
+  const auto source = kernel_->shared_state()->GetColumnSource("cold", 0);
+  ASSERT_TRUE(source.ok()) << source.status();
+  int checked = 0;
+  std::int64_t previous_row = -1;
+  int step = 0;
+  for (const sim::TouchEvent& event : trace.events) {
+    const std::int64_t before = kernel_->results().size();
+    kernel_->OnTouch(event);
+    pool().WaitForFetches();
+    if (kernel_->results().size() == before) {
+      continue;
+    }
+    const std::int64_t row = kernel_->results().items().back().row;
+    // From the first step on, every block from the touched one through
+    // the one six events ahead is warm: no gap. (Every warm-up is claimed,
+    // so the claim feedback doubles the horizon: 8 events ahead.)
+    if (++step >= 2) {
+      const std::int64_t ahead = row + 6 * (row - previous_row);
+      for (std::int64_t block = row / kRowsPerBlock;
+           block <= std::min(ahead, kColumnRows - 1) / kRowsPerBlock;
+           ++block) {
+        const auto pin = (*source)->TryPinBlock(block, -1);
+        ASSERT_TRUE(pin.ok()) << pin.status();
+        EXPECT_TRUE(pin->has_value())
+            << "step " << step << ": block " << block << " is cold";
+      }
+      ++checked;
+    }
+    previous_row = row;
+  }
+  EXPECT_GE(checked, 40);
+  EXPECT_EQ(pool().stats().prefetch_staged_evictions, 0);
+}
+
+TEST_F(PrefetchFixture, SummaryServedFromASampleLevelWarmsNoBaseBlock) {
+  Build(ActionConfig::Summary(4, exec::AggKind::kAvg));
+  // A fast slide: the level policy serves every summary from a sample
+  // level, so no event reads a base block and none may be warmed.
+  const std::vector<std::int64_t> touched =
+      Play(builder().Slide("fast", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                           MotionProfile::Constant(1.0)));
+  ASSERT_GE(touched.size(), 12u);
+  EXPECT_EQ(kernel_->stats().prefetch_requests, 0);
+  EXPECT_EQ(pool().fetch_stats().prefetch_enqueued, 0);
+  EXPECT_TRUE(provider_->queued().empty());
+}
+
+TEST_F(PrefetchFixture, PausedFingerWarmsItsSymmetricNeighbourhood) {
+  Build(ActionConfig::Scan());
+  // Slide half way, rest for a second (a stationary finger registers no
+  // events), then move on: the step that ends the pause has no usable
+  // speed, so the resumed row's neighbourhood is warmed on both sides.
+  MotionProfile profile;
+  profile.ThenMoveTo(0.5, 0.5).ThenPause(1.0).ThenMoveTo(0.9, 0.5);
+  const sim::GestureTrace trace = builder().Slide(
+      "pause", PointCm{3.0, 1.0}, PointCm{3.0, 11.0}, profile);
+  const auto source = kernel_->shared_state()->GetColumnSource("cold", 0);
+  ASSERT_TRUE(source.ok()) << source.status();
+  std::int64_t last_event_us = 0;
+  bool resumed = false;
+  for (const sim::TouchEvent& event : trace.events) {
+    const std::size_t warmed_before = provider_->queued().size();
+    const std::int64_t before = kernel_->results().size();
+    kernel_->OnTouch(event);
+    pool().WaitForFetches();
+    const bool after_pause = event.timestamp_us - last_event_us > 500'000;
+    last_event_us = event.timestamp_us;
+    if (!after_pause || kernel_->results().size() == before) {
+      continue;
+    }
+    resumed = true;
+    const std::int64_t block =
+        kernel_->results().items().back().row / kRowsPerBlock;
+    const std::vector<std::int64_t> warmed = provider_->queued();
+    const std::set<std::int64_t> now_warmed(
+        warmed.begin() + static_cast<std::ptrdiff_t>(warmed_before),
+        warmed.end());
+    ASSERT_FALSE(now_warmed.empty());
+    // Warm-ups on both sides of the resumed row, and its nearest blocks
+    // all warm.
+    EXPECT_LT(*now_warmed.begin(), block);
+    EXPECT_GT(*now_warmed.rbegin(), block);
+    for (std::int64_t b = block - 2; b <= block + 2; ++b) {
+      const auto pin = (*source)->TryPinBlock(b, -1);
+      ASSERT_TRUE(pin.ok()) << pin.status();
+      EXPECT_TRUE(pin->has_value()) << "block " << b << " is cold";
+    }
+    break;
+  }
+  EXPECT_TRUE(resumed);
 }
 
 }  // namespace

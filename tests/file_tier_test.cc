@@ -402,6 +402,60 @@ TEST(FileTierFrameTest, SweepsOfATableFourTimesTheBudgetRecycleBoundedFrames) {
   EXPECT_EQ(second.peak_frame_bytes, first.peak_frame_bytes);
 }
 
+TEST(FileTierFrameTest, AsyncSweepsRecycleTheFramesOfReadsInFlight) {
+  ScratchDir dir;
+  const std::int64_t rows_per_block = 1'024;  // 8 KiB blocks, page-sized.
+  const std::int64_t blocks = 64;
+  TableSpiller spiller(dir.path(),
+                       SpillOptions{.rows_per_block = rows_per_block});
+  const auto provider =
+      spiller.SpillColumn(SequenceTable("t", blocks * rows_per_block), 0);
+  ASSERT_TRUE(provider.ok()) << provider.status();
+  const auto frame_bytes =
+      static_cast<std::int64_t>((*provider)->geometry().frame_bytes());
+
+  cache::BufferManagerConfig config;
+  config.rows_per_block = rows_per_block;
+  config.budget_bytes = blocks * frame_bytes / 4;  // Table is 4x the budget.
+  config.staged_cap_bytes = 2 * frame_bytes;
+  config.gesture_aware = false;  // Every claim is admitted: full churn.
+  // One read in flight at a time, one block each.
+  config.fetch.num_fetchers = 1;
+  config.fetch.max_coalesce_blocks = 1;
+  cache::BufferManager pool(config);
+  const auto source = pool.SourceFor("t", 0, *provider);
+  ASSERT_TRUE(source->may_block());
+
+  // Each step warms a block half a table ahead, which waits on the
+  // staging pad, then faults the next block through the fetch queue and
+  // claims it: once the pool is full, every read lands on a full pool and
+  // its insert evicts a staged warm-up.
+  const auto sweep = [&] {
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      source->RequestPrefetch((b + blocks / 2) % blocks);
+      ASSERT_TRUE(source->StartFetch(b, nullptr).ok());
+      pool.WaitForFetches();
+      const auto pin = source->TryPinBlock(b, b * rows_per_block);
+      ASSERT_TRUE(pin.ok()) << pin.status();
+      ASSERT_TRUE(pin->has_value()) << "block " << b;
+      EXPECT_EQ((*pin)->view().GetInt64(0), b * rows_per_block);
+    }
+  };
+  sweep();
+  const cache::BlockCacheStats first = pool.stats();
+  EXPECT_GT(pool.fetch_stats().prefetch_enqueued, 0);
+  // The bound: retained budget + staging pad + the frame of the one read
+  // in flight.
+  EXPECT_LE(first.peak_frame_bytes,
+            config.budget_bytes + config.staged_cap_bytes + frame_bytes);
+
+  sweep();  // Identical second pass: every read served by a spare.
+  const cache::BlockCacheStats second = pool.stats();
+  EXPECT_GT(second.faults, first.faults);
+  EXPECT_EQ(second.frame_maps, first.frame_maps);
+  EXPECT_EQ(second.peak_frame_bytes, first.peak_frame_bytes);
+}
+
 // ---- Fault battery ----------------------------------------------------------
 
 TEST(FileTierFaultTest, TruncatedFileIsTransientUntilRetriesExhaust) {

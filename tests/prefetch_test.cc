@@ -1,15 +1,16 @@
-// Unit tests for gesture extrapolation and the prefetcher.
+// Unit tests for gesture extrapolation: the range prediction and the
+// point prediction of the next touch events.
 
 #include <gtest/gtest.h>
 
 #include "prefetch/extrapolator.h"
-#include "prefetch/prefetcher.h"
 #include "sim/virtual_clock.h"
 
 namespace dbtouch::prefetch {
 namespace {
 
 using sim::Micros;
+using storage::RowId;
 using sim::SecondsToMicros;
 
 TEST(ExtrapolatorTest, VelocityConvergesToSteadyRate) {
@@ -92,144 +93,149 @@ TEST(ExtrapolatorTest, ResetForgets) {
   EXPECT_TRUE(ex.PredictRange(200'000, 1.0, 10'000).empty());
 }
 
-TEST(BlockStoreTest, FetchCompletesAfterLatency) {
-  SimulatedBlockStore store(1000, 50'000);
-  EXPECT_FALSE(store.IsResident(3, 0));
-  const Micros done = store.Fetch(3, 100);
-  EXPECT_EQ(done, 50'100);
-  EXPECT_FALSE(store.IsResident(3, 50'099));
-  EXPECT_TRUE(store.IsResident(3, 50'100));
-  EXPECT_EQ(store.fetches_issued(), 1);
-}
+// ---- Point prediction: the rows the next touch events read ----------------
 
-TEST(BlockStoreTest, RefetchIsNoop) {
-  SimulatedBlockStore store(1000, 50'000);
-  store.Fetch(3, 0);
-  const Micros done = store.Fetch(3, 40'000);  // Already in flight.
-  EXPECT_EQ(done, 50'000);
-  EXPECT_EQ(store.fetches_issued(), 1);
-}
-
-TEST(BlockStoreTest, BlockOfMapsRows) {
-  SimulatedBlockStore store(1000, 1);
-  EXPECT_EQ(store.BlockOf(0), 0);
-  EXPECT_EQ(store.BlockOf(999), 0);
-  EXPECT_EQ(store.BlockOf(1000), 1);
-}
-
-TEST(PrefetcherTest, SteadySlideHitsAfterWarmup) {
-  // Slide at 10000 rows/s over blocks of 1000 rows with 50ms fetches: the
-  // 0.5s horizon keeps ~5 blocks in flight ahead; after the first block's
-  // stall everything is resident on arrival.
-  SimulatedBlockStore store(1000, 50'000);
-  Prefetcher::Config config;
-  config.horizon_s = 0.5;
-  Prefetcher prefetcher(&store, config);
-  Micros now = 0;
-  storage::RowId row = 0;
-  std::int64_t late_stalls = 0;
-  for (int i = 0; i < 100; ++i) {
-    const Micros stall = prefetcher.OnTouch(now, row, 1'000'000);
-    if (i > 10 && stall > 0) {
-      ++late_stalls;
-    }
-    now += 66'000;  // ~15Hz
-    row += 660;     // 10000 rows/s
+/// Feeds a slide of `steps` events at the device rate (15 Hz), starting at
+/// `start` and advancing `per_event` rows per event.
+GestureExtrapolator SlideAt(RowId start, RowId per_event, int steps) {
+  GestureExtrapolator ex;
+  constexpr Micros kEventUs = 66'667;
+  for (int i = 0; i < steps; ++i) {
+    ex.Observe(i * kEventUs, start + i * per_event);
   }
-  EXPECT_EQ(late_stalls, 0);
-  EXPECT_GT(prefetcher.stats().hits, 80);
-  EXPECT_GT(prefetcher.stats().blocks_prefetched, 10);
+  return ex;
 }
 
-TEST(PrefetcherTest, DisabledPrefetchStallsOnEveryBlock) {
-  SimulatedBlockStore store(1000, 50'000);
-  Prefetcher::Config config;
-  config.enabled = false;
-  Prefetcher prefetcher(&store, config);
-  Micros now = 0;
-  storage::RowId row = 0;
-  for (int i = 0; i < 100; ++i) {
-    prefetcher.OnTouch(now, row, 1'000'000);
-    now += 66'000;
-    row += 660;
+constexpr double kHz = 15.0;
+constexpr Micros kLastEventUs = 4 * 66'667;  // Event 4 of a 5-event slide.
+
+TEST(ExtrapolatorTest, PredictTouchesStepsForwardByThePerEventDisplacement) {
+  const GestureExtrapolator ex = SlideAt(1'000, 50'000, 5);  // Last 201'000.
+  // 0.25 s at 15 Hz: ceil(3.75) = 4 events ahead.
+  const std::vector<RowId> rows =
+      ex.PredictTouches(kLastEventUs, 0.25, kHz, 10'000'000);
+  ASSERT_EQ(rows.size(), 4u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_NEAR(static_cast<double>(rows[i]),
+                201'000.0 + 50'000.0 * static_cast<double>(i + 1), 2.0)
+        << "event " << i + 1;
   }
-  // Every new block (roughly 2 touches per 1000-row block at 660 rows per
-  // touch) is a demand miss.
-  EXPECT_GT(prefetcher.stats().stalls, 30);
-  EXPECT_GT(prefetcher.stats().stall_us, 0);
-  EXPECT_EQ(prefetcher.stats().blocks_prefetched, 0);
 }
 
-TEST(PrefetcherTest, PrefetchBeatsNoPrefetchOnStallTime) {
-  const auto run = [](bool enabled) {
-    SimulatedBlockStore store(1000, 50'000);
-    Prefetcher::Config config;
-    config.enabled = enabled;
-    Prefetcher prefetcher(&store, config);
-    Micros now = 0;
-    storage::RowId row = 0;
-    for (int i = 0; i < 200; ++i) {
-      prefetcher.OnTouch(now, row, 10'000'000);
-      now += 66'000;
-      row += 660;
-    }
-    return prefetcher.stats().stall_us;
-  };
-  EXPECT_LT(run(true), run(false) / 5);
-}
-
-// Property sweep: across fetch latencies and gesture speeds, prefetching
-// never increases stall time, and with a horizon comfortably above the
-// fetch latency the steady-state stall count is O(1) (warmup only).
-class PrefetcherSweep
-    : public testing::TestWithParam<std::tuple<Micros, int>> {};
-
-TEST_P(PrefetcherSweep, PrefetchNeverHurtsAndWarmupBounds) {
-  const auto [fetch_latency, rows_per_touch] = GetParam();
-  const auto run = [&](bool enabled) {
-    SimulatedBlockStore store(1000, fetch_latency);
-    Prefetcher::Config config;
-    config.enabled = enabled;
-    config.horizon_s = 4.0 * sim::MicrosToSeconds(fetch_latency) + 0.2;
-    Prefetcher prefetcher(&store, config);
-    Micros now = 0;
-    storage::RowId row = 0;
-    for (int i = 0; i < 150; ++i) {
-      prefetcher.OnTouch(now, row, 10'000'000);
-      now += 66'000;
-      row += rows_per_touch;
-    }
-    return prefetcher.stats();
-  };
-  const auto with = run(true);
-  const auto without = run(false);
-  EXPECT_LE(with.stall_us, without.stall_us);
-  EXPECT_LE(with.stalls, 4) << "steady slides should only stall in warmup";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    LatencySpeedGrid, PrefetcherSweep,
-    testing::Combine(testing::Values<Micros>(5'000, 30'000, 100'000),
-                     testing::Values(200, 660, 2'000)));
-
-TEST(PrefetcherTest, PauseResumeCoversResumption) {
-  SimulatedBlockStore store(1000, 50'000);
-  Prefetcher::Config config;
-  config.horizon_s = 0.5;
-  Prefetcher prefetcher(&store, config);
-  Micros now = 0;
-  storage::RowId row = 0;
-  // Slide...
-  for (int i = 0; i < 30; ++i) {
-    prefetcher.OnTouch(now, row, 1'000'000);
-    now += 66'000;
-    row += 660;
+TEST(ExtrapolatorTest, PredictTouchesCatchesUpWithASpeedChangeInThreeSteps) {
+  GestureExtrapolator ex = SlideAt(0, 1'000, 5);  // Slow; last row 4'000.
+  Micros t = 4 * 66'667;
+  RowId row = 4'000;
+  for (int i = 0; i < 3; ++i) {  // Then three steps 20x faster.
+    t += 66'667;
+    row += 20'000;
+    ex.Observe(t, row);
   }
-  // ...pause 2 seconds (no touches)...
-  now += 2'000'000;
-  // ...resume: the symmetric pause prefetch covered the neighbourhood.
-  const Micros stall = prefetcher.OnTouch(now, row + 100, 1'000'000);
-  EXPECT_EQ(stall, 0);
+  const std::vector<RowId> rows = ex.PredictTouches(t, 1.0 / kHz, kHz,
+                                                    1'000'000);
+  ASSERT_EQ(rows.size(), 1u);  // A one-event horizon: one point.
+  EXPECT_NEAR(static_cast<double>(rows[0]), 84'000.0, 2.0);
+  // The smoothed velocity still lags behind the finger.
+  EXPECT_LT(ex.velocity_rows_per_s() / kHz, 15'000.0);
+}
+
+TEST(ExtrapolatorTest, PredictTouchesAveragesOutPositionQuantisation) {
+  // A constant-speed slide quantised to device points advances 10, 10,
+  // 11, 10, 10, 11 points per event (3'000 rows a point): the last step
+  // alone would aim 11 points ahead, the window aims at the mean.
+  GestureExtrapolator ex;
+  RowId row = 0;
+  ex.Observe(0, row);
+  const int points[] = {10, 10, 11, 10, 10, 11};
+  Micros t = 0;
+  for (const int p : points) {
+    t += 66'667;
+    row += p * 3'000;
+    ex.Observe(t, row);
+  }
+  const std::vector<RowId> rows = ex.PredictTouches(t, 1.0 / kHz, kHz,
+                                                    1'000'000);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_NEAR(static_cast<double>(rows[0] - row), 31'000.0, 2.0);
+}
+
+TEST(ExtrapolatorTest, PredictTouchesStepsBackwardOnReverseSlides) {
+  const GestureExtrapolator ex = SlideAt(900'000, -30'000, 5);  // 780'000.
+  const std::vector<RowId> rows =
+      ex.PredictTouches(kLastEventUs, 0.2, kHz, 1'000'000);
+  ASSERT_EQ(rows.size(), 3u);  // ceil(0.2 * 15) = 3.
+  EXPECT_NEAR(static_cast<double>(rows[0]), 750'000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(rows[1]), 720'000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(rows[2]), 690'000.0, 2.0);
+}
+
+TEST(ExtrapolatorTest, PredictTouchesStopsAtTheLastRow) {
+  const GestureExtrapolator ex = SlideAt(0, 300, 5);  // Last row 1'200.
+  const std::vector<RowId> rows = ex.PredictTouches(kLastEventUs, 1.0, kHz,
+                                                    /*n=*/2'000);
+  // 1'500, then 1'800, then the end: clamped once, never repeated.
+  EXPECT_EQ(rows, (std::vector<RowId>{1'500, 1'800, 1'999}));
+}
+
+TEST(ExtrapolatorTest, PredictTouchesStopsAtRowZero) {
+  const GestureExtrapolator ex = SlideAt(1'000, -200, 5);  // Last row 200.
+  const std::vector<RowId> rows =
+      ex.PredictTouches(kLastEventUs, 1.0, kHz, 2'000);
+  EXPECT_EQ(rows, (std::vector<RowId>{0}));
+}
+
+TEST(ExtrapolatorTest, PredictTouchesSkipsEventsThatStayOnARow) {
+  GestureExtrapolator ex;
+  ex.Observe(0, 100);
+  ex.Observe(200'000, 101);  // 5 rows/s: a third of a row per event.
+  const std::vector<RowId> rows = ex.PredictTouches(200'000, 0.4, kHz, 1'000);
+  EXPECT_EQ(rows, (std::vector<RowId>{102, 103}));  // 6 events, 2 rows.
+}
+
+TEST(ExtrapolatorTest, PredictTouchesNeedsAStepAndAMovingFinger) {
+  GestureExtrapolator ex;
+  EXPECT_TRUE(ex.PredictTouches(0, 0.25, kHz, 1'000).empty());
+  ex.Observe(0, 500);  // One observation: no direction yet.
+  EXPECT_TRUE(ex.PredictTouches(0, 0.25, kHz, 1'000).empty());
+  ex.Observe(66'667, 520);
+  EXPECT_FALSE(ex.PredictTouches(66'667, 0.25, kHz, 1'000).empty());
+  // Timed out: paused, no prediction.
+  EXPECT_TRUE(ex.PredictTouches(SecondsToMicros(2.0), 0.25, kHz, 1'000)
+                  .empty());
+  // A step that moved no row: the finger rests, also paused; the range
+  // prediction is then the symmetric neighbourhood.
+  ex.Observe(133'333, 520);
+  EXPECT_TRUE(ex.IsPaused(133'333));
+  EXPECT_TRUE(ex.PredictTouches(133'333, 0.25, kHz, 1'000).empty());
+  const RowRange around = ex.PredictRange(133'333, 0.25, 1'000);
+  EXPECT_LT(around.first, 520);
+  EXPECT_GT(around.last, 520);
+  EXPECT_EQ(520 - around.first, around.last - 520);
+}
+
+TEST(ExtrapolatorTest, AStepAcrossAPauseKeepsThePause) {
+  GestureExtrapolator ex = SlideAt(0, 10'000, 4);  // Last 30'000 at 0.2 s.
+  // No event for a second (a stationary finger registers none), then the
+  // finger moves on: the resuming step carries no speed.
+  ex.Observe(SecondsToMicros(1.2), 31'000);
+  EXPECT_TRUE(ex.IsPaused(SecondsToMicros(1.2)));
+  EXPECT_TRUE(ex.PredictTouches(SecondsToMicros(1.2), 0.25, kHz, 1'000'000)
+                  .empty());
+  // The next step at the device rate restores the point prediction.
+  ex.Observe(SecondsToMicros(1.2) + 66'667, 41'000);
+  EXPECT_FALSE(ex.IsPaused(SecondsToMicros(1.2) + 66'667));
+  EXPECT_EQ(ex.PredictTouches(SecondsToMicros(1.2) + 66'667, 1.0 / kHz, kHz,
+                              1'000'000)
+                .size(),
+            1u);
+}
+
+TEST(ExtrapolatorTest, ResetForgetsTheStep) {
+  GestureExtrapolator ex = SlideAt(0, 1'000, 3);
+  ex.Reset();
+  ex.Observe(SecondsToMicros(1.0), 10'000);
+  EXPECT_TRUE(ex.PredictTouches(SecondsToMicros(1.0), 0.25, kHz, 100'000)
+                  .empty());
 }
 
 }  // namespace
