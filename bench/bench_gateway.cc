@@ -27,6 +27,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -221,6 +222,16 @@ int main(int argc, char** argv) {
     }
     churn_conns_per_s = RunChurn(*stack, 8, smoke ? 64 : 512);
     std::printf("churn: %.0f conns/s (8 threads)\n", churn_conns_per_s);
+    // The clients have closed their sockets, but the loop thread may not
+    // have handled every EOF yet: wait (at most 5 s) for it to publish
+    // the closes before checking for leaks.
+    const auto settle_by =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((stack->gateway->stats().connections_active != 0 ||
+            stack->server->session_count() != 0) &&
+           std::chrono::steady_clock::now() < settle_by) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     GatewayStatsSnapshot gw = stack->gateway->stats();
     Check(gw.protocol_errors == 0, "churn: no protocol errors");
     Check(gw.connections_active == 0, "churn: no leaked connections");

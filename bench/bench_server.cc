@@ -64,6 +64,8 @@ struct RunResult {
   double wall_s = 0.0;
   double touches_per_s = 0.0;
   ServerStatsSnapshot stats;
+  /// Results the sessions' streams hold when the run drains.
+  std::int64_t results_held = 0;
 };
 
 RunResult RunSessions(int sessions, bool paced, bool tracing = false) {
@@ -134,6 +136,13 @@ RunResult RunSessions(int sessions, bool paced, bool tracing = false) {
       result.wall_s > 0.0
           ? static_cast<double>(result.stats.executed) / result.wall_s
           : 0.0;
+  for (const SessionId id : ids) {
+    const auto snapshot =
+        server.Call(dbtouch::server::api::SessionSnapshotReq{.session = id});
+    if (snapshot.ok()) {
+      result.results_held += snapshot->result_count;
+    }
+  }
   (void)server.Stop();
   return result;
 }
@@ -639,6 +648,13 @@ void PerfTrajectory(bool smoke) {
                 cold.stats.stages.fetch_stall.Percentile(0.99));
   report.Metric("buffer_hit_rate", flood.stats.buffer.hit_rate());
   report.Metric("buffer_faults", flood.stats.buffer.faulted_blocks);
+  // Bytes each held result costs, chunk slack included: deterministic
+  // for a fixed trace, so it moves only when the storage layout does.
+  report.Metric("result_bytes_per_result",
+                flood.results_held > 0
+                    ? static_cast<double>(flood.stats.result_bytes) /
+                          static_cast<double>(flood.results_held)
+                    : 0.0);
   report.Metric("cold_suspended_quanta",
                 cold.stats.fetch.suspended_quanta);
   const double cold_blocks =
@@ -658,6 +674,7 @@ void PerfTrajectory(bool smoke) {
   report.Gate("flood_touches_per_s", "higher", 0.7);
   report.Gate("paced_p50_us", "lower", 1.0);
   report.Gate("buffer_hit_rate", "higher", 0.2);
+  report.Gate("result_bytes_per_result", "lower", 0.05);
   const bool abl_ok = AblDeadline(smoke, report);
   report.Write("BENCH_server.json");
   if (!spans_ok || !abl_ok) {

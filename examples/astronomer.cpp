@@ -25,6 +25,7 @@
 using dbtouch::core::ActionConfig;
 using dbtouch::core::Kernel;
 using dbtouch::core::ResultItem;
+using dbtouch::core::ResultItems;
 using dbtouch::core::ResultKind;
 using dbtouch::sim::MotionProfile;
 using dbtouch::sim::PointCm;
@@ -39,7 +40,7 @@ constexpr std::int64_t kObjects = 10'000'000;
 /// Bands found during a pass whose summary deviates hard from the
 /// sinusoidal baseline (amplitude 2): base-row ranges worth a closer look.
 std::vector<std::pair<RowId, RowId>> SuspiciousBands(
-    const std::vector<ResultItem>& items, std::int64_t from_index,
+    const ResultItems& items, std::int64_t from_index,
     double threshold) {
   std::vector<std::pair<RowId, RowId>> bands;
   for (std::size_t i = static_cast<std::size_t>(from_index);

@@ -436,7 +436,7 @@ bool Kernel::AnswerPartialFromResident() {
   std::int64_t scanned = 0;
   if (obj->action.kind == ActionKind::kScan) {
     item.kind = ResultKind::kValue;
-    item.attribute = mapping.attribute;
+    item.attribute = static_cast<std::uint32_t>(mapping.attribute);
     item.value = obj->hierarchy->LevelView(level).GetValue(
         obj->hierarchy->FromBaseRow(level, base_row));
     scanned = 1;
@@ -1039,7 +1039,7 @@ void Kernel::HandleTap(const GestureEvent& event, ObjectState* obj) {
       item.timestamp_us = event.timestamp_us;
       item.screen_position = ResultPosition(*obj, event.position);
       item.row = mapping.row;
-      item.attribute = c;
+      item.attribute = static_cast<std::uint32_t>(c);
       item.value = obj->table->GetValue(mapping.row, c);
       results_.Append(std::move(item));
     }
@@ -1118,11 +1118,11 @@ void Kernel::HandleSlideStep(const GestureEvent& event, ObjectState* obj) {
     for (const exec::JoinMatch& m : matches) {
       results_.Append(ResultItem{
           .object = obj->id,
-          .kind = ResultKind::kJoinMatch,
           .timestamp_us = event.timestamp_us,
           .screen_position = ResultPosition(*obj, event.position),
           .row = side == exec::JoinSide::kLeft ? m.left_row : m.right_row,
           .value = storage::Value(m.key),
+          .kind = ResultKind::kJoinMatch,
       });
     }
     stats_.entries_returned += static_cast<std::int64_t>(matches.size());
@@ -1143,7 +1143,7 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
       item.timestamp_us = event.timestamp_us;
       item.screen_position = result_pos;
       item.row = base_row;
-      item.attribute = mapping.attribute;
+      item.attribute = static_cast<std::uint32_t>(mapping.attribute);
       item.value = obj->view->kind() == ObjectKind::kTable
                        ? obj->table->GetValue(base_row, mapping.attribute)
                        : obj->ReadBoundValue(base_row);
@@ -1288,7 +1288,8 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
       item.timestamp_us = event.timestamp_us;
       item.screen_position = result_pos;
       item.row = base_row;
-      item.attribute = obj->action.group_key_attribute;
+      item.attribute =
+          static_cast<std::uint32_t>(obj->action.group_key_attribute);
       item.value = storage::Value(group_value);
       item.rows_aggregated = group_count;
       results_.Append(std::move(item));

@@ -1,5 +1,7 @@
 #include "core/result_stream.h"
 
+#include <memory>
+
 namespace dbtouch::core {
 
 const char* ResultKindName(ResultKind kind) {
@@ -20,6 +22,27 @@ const char* ResultKindName(ResultKind kind) {
       return "group-update";
   }
   return "?";
+}
+
+void ResultItems::push_back(ResultItem item) {
+  const std::size_t slot = size_ % kChunkItems;
+  if (slot == 0 && size_ / kChunkItems == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Chunk>());
+  }
+  std::construct_at(&chunks_[size_ / kChunkItems]->items[slot],
+                    std::move(item));
+  ++size_;
+}
+
+void ResultItems::clear() {
+  for (std::size_t i = 0; i < size_; ++i) {
+    std::destroy_at(&(*this)[i]);
+  }
+  size_ = 0;
+  if (chunks_.size() > 1) {
+    chunks_.resize(1);
+    chunks_.shrink_to_fit();
+  }
 }
 
 std::vector<VisibleResult> ResultStream::VisibleAt(sim::Micros now) const {

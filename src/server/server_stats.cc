@@ -34,6 +34,7 @@ std::string ServerStatsSnapshot::ToJson(bool include_buckets) const {
   writer.Field("p99_latency_us", p99_latency_us);
   writer.Field("max_latency_us", max_latency_us);
   writer.Field("fairness", fairness);
+  writer.Field("result_bytes", result_bytes);
   writer.Key("stages");
   writer.BeginObject();
   AppendStage(writer, "queue_wait", stages.queue_wait, include_buckets);
@@ -92,6 +93,7 @@ std::string ServerStatsSnapshot::ToJson(bool include_buckets) const {
     writer.Field("touch_events", s.touch_events);
     writer.Field("entries_returned", s.entries_returned);
     writer.Field("rows_scanned", s.rows_scanned);
+    writer.Field("result_bytes", s.result_bytes);
     writer.Field("partial_quanta", s.partial_quanta);
     writer.Field("refined_quanta", s.refined_quanta);
     writer.EndObject();

@@ -32,6 +32,9 @@ struct SessionStatsSnapshot {
   std::int64_t touch_events = 0;
   std::int64_t entries_returned = 0;
   std::int64_t rows_scanned = 0;
+  /// Bytes the session's result stream holds (chunk slack included): a
+  /// session keeps every result it produced for its whole life.
+  std::int64_t result_bytes = 0;
   /// Deadline-sacred mode: quanta answered coarsely from the resident
   /// sample level at deadline pressure, and refinement quanta completed.
   std::int64_t partial_quanta = 0;
@@ -174,6 +177,8 @@ struct ServerStatsSnapshot {
   BufferStatsSnapshot buffer;
   /// The async block-fetch pipeline (zeros when async_fetch is off).
   FetchStatsSnapshot fetch;
+  /// Sum of per_session result_bytes over the open sessions.
+  std::int64_t result_bytes = 0;
   std::map<SessionId, SessionStatsSnapshot> per_session;
 
   double miss_rate() const {

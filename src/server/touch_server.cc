@@ -977,7 +977,9 @@ ServerStatsSnapshot TouchServer::stats() const {
       per.touch_events = k.touch_events;
       per.entries_returned = k.entries_returned;
       per.rows_scanned = k.rows_scanned;
+      per.result_bytes = s->kernel().results().bytes();
     }
+    snapshot.result_bytes += per.result_bytes;
     if (per.submitted > 0) {
       executed_per_session.push_back(per.executed);
     }

@@ -327,6 +327,123 @@ TEST(ResultStreamTest, CountKindFilters) {
   EXPECT_EQ(stream.size(), 0);
 }
 
+ResultItem NumberedItem(std::int64_t n) {
+  ResultItem item;
+  item.row = n;
+  item.timestamp_us = n;
+  item.kind = n % 3 == 0 ? ResultKind::kSummary : ResultKind::kValue;
+  item.value = storage::Value(n);
+  return item;
+}
+
+TEST(ResultStreamTest, ReferencesSurviveChunkBoundaries) {
+  constexpr std::int64_t kChunk = ResultItems::kChunkItems;
+  ResultStream stream(/*fade_us=*/1'000'000'000);
+  stream.Append(NumberedItem(0));
+  const ResultItem& first = stream.back();
+  const std::vector<VisibleResult> visible = stream.VisibleAt(0);
+  ASSERT_EQ(visible.size(), 1u);
+  for (std::int64_t n = 1; n < 3 * kChunk + 5; ++n) {
+    stream.Append(NumberedItem(n));
+  }
+  EXPECT_EQ(&first, &stream.items()[0]);
+  EXPECT_EQ(visible[0].item, &first);
+  EXPECT_EQ(first.row, 0);
+  EXPECT_EQ(first.value, storage::Value(std::int64_t{0}));
+
+  // Pointers handed out across the boundaries survive further appends.
+  const std::vector<VisibleResult> all = stream.VisibleAt(3 * kChunk + 4);
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(3 * kChunk + 5));
+  for (std::int64_t n = 0; n < 2 * kChunk; ++n) {
+    stream.Append(NumberedItem(3 * kChunk + 5 + n));
+  }
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i].item, &stream.items()[i]);
+    ASSERT_EQ(all[i].item->row, static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(stream.back().row, 5 * kChunk + 4);
+}
+
+TEST(ResultStreamTest, CountsAndIterationSpanChunks) {
+  constexpr std::int64_t kChunk = ResultItems::kChunkItems;
+  constexpr std::int64_t kItems = 4 * kChunk + 7;
+  ResultStream stream;
+  for (std::int64_t n = 0; n < kItems; ++n) {
+    stream.Append(NumberedItem(n));
+  }
+  EXPECT_EQ(stream.size(), kItems);
+  EXPECT_EQ(stream.items().size(), static_cast<std::size_t>(kItems));
+  EXPECT_EQ(stream.CountKind(ResultKind::kSummary), (kItems + 2) / 3);
+  EXPECT_EQ(stream.CountKind(ResultKind::kValue), kItems - (kItems + 2) / 3);
+  std::int64_t expect = 0;
+  for (const ResultItem& item : stream.items()) {
+    ASSERT_EQ(item.row, expect);
+    ASSERT_EQ(item.value, storage::Value(expect));
+    ++expect;
+  }
+  EXPECT_EQ(expect, kItems);
+  EXPECT_EQ(stream.items().front().row, 0);
+  EXPECT_EQ(stream.items().back().row, kItems - 1);
+  // Whole chunks plus the index: one partly filled chunk of slack at most.
+  const std::int64_t chunks = (kItems + kChunk - 1) / kChunk;
+  EXPECT_GE(stream.bytes(),
+            chunks * kChunk * static_cast<std::int64_t>(sizeof(ResultItem)));
+  EXPECT_LE(stream.bytes(),
+            chunks * static_cast<std::int64_t>(ResultItems::kChunkBytes +
+                                               sizeof(void*)));
+}
+
+TEST(ResultStreamTest, ClearKeepsAtMostOneChunk) {
+  ResultStream stream;
+  EXPECT_EQ(stream.bytes(), 0);
+  for (std::size_t n = 0; n < 5 * ResultItems::kChunkItems; ++n) {
+    stream.Append(NumberedItem(static_cast<std::int64_t>(n)));
+  }
+  EXPECT_GT(stream.bytes(),
+            4 * static_cast<std::int64_t>(ResultItems::kChunkBytes));
+  stream.Clear();
+  EXPECT_EQ(stream.size(), 0);
+  EXPECT_TRUE(stream.items().empty());
+  EXPECT_LE(stream.bytes(),
+            static_cast<std::int64_t>(ResultItems::kChunkBytes));
+  // The kept chunk serves the next appends.
+  stream.Append(NumberedItem(42));
+  EXPECT_EQ(stream.back().row, 42);
+  EXPECT_LE(stream.bytes(),
+            static_cast<std::int64_t>(ResultItems::kChunkBytes));
+}
+
+TEST(ResultStreamTest, RefineTaggingAcrossAChunkBoundaryMarksOnlyRefined) {
+  constexpr std::int64_t kChunk = ResultItems::kChunkItems;
+  ResultStream stream;
+  for (std::int64_t n = 0; n < kChunk - 2; ++n) {
+    ResultItem item = NumberedItem(n);
+    item.partial = true;
+    stream.Append(std::move(item));
+  }
+  // A refinement quantum appends five results straddling the boundary;
+  // the kernel then tags what it appended, exactly like this.
+  const std::int64_t before = stream.size();
+  for (std::int64_t n = 0; n < 5; ++n) {
+    ResultItem item = NumberedItem(before + n);
+    item.partial = true;
+    stream.Append(std::move(item));
+  }
+  for (std::int64_t i = before; i < stream.size(); ++i) {
+    ResultItem& refined = stream.mutable_items()[static_cast<std::size_t>(i)];
+    refined.partial = false;
+    refined.refine_seq = 3;
+  }
+  stream.Append(NumberedItem(stream.size()));  // After the refinement.
+  for (std::int64_t i = 0; i < stream.size(); ++i) {
+    const ResultItem& item = stream.items()[static_cast<std::size_t>(i)];
+    const bool refined = i >= before && i < before + 5;
+    EXPECT_EQ(item.refine_seq, refined ? 3 : 0) << i;
+    EXPECT_EQ(item.partial, i < before + 5 && !refined) << i;
+    EXPECT_EQ(item.row, i);
+  }
+}
+
 TEST(ResultStreamTest, KindNamesAreStable) {
   EXPECT_STREQ(ResultKindName(ResultKind::kValue), "value");
   EXPECT_STREQ(ResultKindName(ResultKind::kSummary), "summary");

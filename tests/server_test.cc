@@ -36,6 +36,8 @@ namespace {
 using core::ActionConfig;
 using core::Kernel;
 using core::KernelConfig;
+using core::ResultItem;
+using core::ResultItems;
 using sim::MotionProfile;
 using sim::PointCm;
 using sim::TraceBuilder;
@@ -585,6 +587,72 @@ TEST(TouchServerTest, CloseSessionDropsPendingWork) {
   const ServerStatsSnapshot stats = server.stats();
   EXPECT_EQ(stats.sessions_active, 0);
   EXPECT_EQ(stats.executed + stats.dropped_quanta, stats.submitted);
+  ASSERT_TRUE(server.Stop().ok());
+}
+
+TEST(TouchServerTest, ResultBytesTrackEachSessionsStream) {
+  TouchServer server(RelaxedConfig(1));
+  ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  Kernel reference;
+  // A long slide: a few hundred scan results, several chunks' worth.
+  const sim::GestureTrace trace = SlideOver(server, reference, 10.0);
+  std::vector<SessionId> ids;
+  for (int i = 0; i < 2; ++i) {
+    const auto session = server.OpenSession();
+    ASSERT_TRUE(session.ok());
+    const auto object = server.CreateColumnObject(
+        *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
+    ASSERT_TRUE(object.ok());
+    ids.push_back(*session);
+  }
+  const auto results_of = [&](SessionId id) {
+    std::int64_t n = 0;
+    EXPECT_TRUE(server
+                    .WithSession(id, [&](Kernel& kernel) {
+                      n = kernel.results().size();
+                    })
+                    .ok());
+    return n;
+  };
+  // Each result costs sizeof(ResultItem) plus its chunk's share of the
+  // chunk index (at most two slots per chunk); the last chunk may be
+  // partly filled.
+  const auto bound = [](std::int64_t results) {
+    const std::int64_t per_chunk = ResultItems::kChunkItems;
+    const std::int64_t chunks = (results + per_chunk - 1) / per_chunk;
+    return results * static_cast<std::int64_t>(sizeof(ResultItem)) +
+           static_cast<std::int64_t>(ResultItems::kChunkBytes) +
+           chunks * static_cast<std::int64_t>(2 * sizeof(void*));
+  };
+
+  std::int64_t previous = 0;
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(server.SubmitTrace(ids[0], trace, {/*paced=*/false}).ok());
+    ASSERT_TRUE(server.Drain().ok());
+    const std::int64_t results = results_of(ids[0]);
+    const std::int64_t bytes =
+        server.stats().per_session.at(ids[0]).result_bytes;
+    ASSERT_GT(results, 2 * ResultItems::kChunkItems);
+    EXPECT_GT(bytes, previous);
+    EXPECT_GE(bytes, results * static_cast<std::int64_t>(sizeof(ResultItem)));
+    EXPECT_LE(bytes, bound(results));
+    previous = bytes;
+  }
+
+  ASSERT_TRUE(server.SubmitTrace(ids[1], trace, {/*paced=*/false}).ok());
+  ASSERT_TRUE(server.Drain().ok());
+  const ServerStatsSnapshot before = server.stats();
+  const std::int64_t closing = before.per_session.at(ids[0]).result_bytes;
+  EXPECT_EQ(before.result_bytes,
+            closing + before.per_session.at(ids[1]).result_bytes);
+  EXPECT_NE(before.ToJson().find("\"result_bytes\":" +
+                                 std::to_string(before.result_bytes)),
+            std::string::npos);
+  ASSERT_TRUE(server.CloseSession(ids[0]).ok());
+  const ServerStatsSnapshot after = server.stats();
+  EXPECT_EQ(after.result_bytes, before.result_bytes - closing);
+  EXPECT_EQ(after.result_bytes, after.per_session.at(ids[1]).result_bytes);
   ASSERT_TRUE(server.Stop().ok());
 }
 
